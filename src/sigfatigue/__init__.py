@@ -18,6 +18,7 @@ from .detector import (
     classify_trend,
     detect,
     distance_series,
+    ols_slope_test,
     segment_series,
 )
 from .errors import (

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
+from .detector import ols_slope_test
 from .errors import DegenerateInputError, InsufficientDataError, InvalidInputError
 from .windowing import TimeSeries
 
@@ -116,18 +116,9 @@ def rolling_regression(series: TimeSeries, window: int = 7, alpha: float = 0.05)
     flags = []
     was_significant = False
     for i in range(window - 1, n):
-        x = offsets[i - window + 1 : i + 1]
-        y = values[i - window + 1 : i + 1]
-        xc = x - x.mean()
-        sxx = float(xc @ xc)
-        slope = float(xc @ (y - y.mean()) / sxx)
-        resid = (y - y.mean()) - slope * xc
-        ssr = float(resid @ resid)
-        se = np.sqrt(ssr / (window - 2) / sxx)
-        if se == 0.0:
-            p = 1.0 if slope == 0.0 else 0.0
-        else:
-            p = float(2.0 * stats.t.sf(abs(slope) / se, window - 2))
+        slope, p = ols_slope_test(
+            offsets[i - window + 1 : i + 1], values[i - window + 1 : i + 1]
+        )
         significant = p < alpha and slope < 0
         if significant and not was_significant:
             flags.append(dates[i])

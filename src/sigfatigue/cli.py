@@ -19,7 +19,7 @@ import argparse
 import datetime as dt
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -28,10 +28,10 @@ from .errors import (
     ConfigurationError,
     InsufficientDataError,
     InvalidInputError,
-    PatternSpecError,
     SigFatigueError,
 )
 from .evaluation import (
+    METHODS,
     MatchPolicy,
     evaluate_corpus,
     make_method,
@@ -53,7 +53,7 @@ SCHEMA_VERSION = 1
 
 
 def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -91,13 +91,26 @@ def _add_detector_flags(parser) -> None:
         "--merge-gap",
         type=int,
         default=None,
-        help="merge flags within this many days (default: window; 0 disables)",
+        help="merge flags within this many days (default: window, or 0 when scoring)",
     )
     parser.add_argument(
         "--feature-mode", choices=("full", "log"), default="full",
         help="distance features: full signature or its tensor logarithm",
     )
     parser.add_argument("--metric", default="ctr", help="series column to analyse")
+
+
+def _add_method_flags(parser) -> None:
+    parser.add_argument(
+        "--method",
+        default="signature",
+        choices=sorted(METHODS),
+        help="detector to run; non-signature methods report bare change dates",
+    )
+    parser.add_argument("--short-window", type=int, default=7)
+    parser.add_argument("--long-window", type=int, default=28)
+    parser.add_argument("--reference-k", type=float, default=0.5)
+    parser.add_argument("--decision-h", type=float, default=5.0)
 
 
 def _add_pattern_flags(parser) -> None:
@@ -202,6 +215,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.plot and args.method != "signature":
+        raise ConfigurationError("--plot needs --method signature")
     series = read_series_csv(args.input, metric=args.metric)
     if args.method != "signature":
         params = _method_params(args)
@@ -242,12 +257,15 @@ def cmd_wastage(args) -> int:
 
 def _method_params(args) -> dict:
     if args.method == "signature":
-        return {
+        params = {
             "window": args.window,
             "depth": args.depth,
             "threshold_k": args.k,
             "feature_mode": args.feature_mode,
         }
+        if args.merge_gap is not None:
+            params["merge_gap"] = args.merge_gap
+        return params
     if args.method == "ma_crossover":
         return {"short_window": args.short_window, "long_window": args.long_window}
     if args.method == "cusum":
@@ -257,33 +275,16 @@ def _method_params(args) -> dict:
     return {}
 
 
-def _run_one(payload):
-    item, method, params = payload
-    run = make_method(method, **params)
-    return run(item.series)
-
-
 def cmd_evaluate(args) -> int:
     corpus = _load_corpus(args.corpus) if args.corpus else _build_corpus(args)
+    corpus = [
+        replace(item, series=replace(item.series, metric=args.metric)) for item in corpus
+    ]
     params = _method_params(args)
     policy = MatchPolicy(tolerance_days=args.tolerance)
-    if args.jobs > 1:
-        from .evaluation import pool_scores, bootstrap_ci, score, EvalMetrics
-
-        payloads = [(item, args.method, params) for item in corpus]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            detections = list(pool.map(_run_one, payloads))
-        per_series = [
-            score(found, item.truth_dates(), policy)
-            for found, item in zip(detections, corpus)
-        ]
-        pooled = pool_scores(per_series)
-        ci = bootstrap_ci(per_series, seed=args.seed) if len(per_series) >= 2 else None
-        pooled = EvalMetrics(**{**pooled.to_dict(), "delays": pooled.delays, "ci": ci})
-    else:
-        _, pooled = evaluate_corpus(
-            corpus, make_method(args.method, **params), policy, seed=args.seed
-        )
+    _, pooled = evaluate_corpus(
+        corpus, make_method(args.method, **params), policy, seed=args.seed
+    )
     result = {
         "schema_version": SCHEMA_VERSION,
         "method": args.method,
@@ -348,16 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="change point report for a series CSV")
     p_det.add_argument("input", help="input CSV (date,impressions,clicks[,cost])")
     _add_detector_flags(p_det)
-    p_det.add_argument(
-        "--method",
-        default="signature",
-        choices=sorted(("signature", "ma_crossover", "cusum", "rolling_regression")),
-        help="detector to run; non-signature methods emit a tagged date list",
-    )
-    p_det.add_argument("--short-window", type=int, default=7)
-    p_det.add_argument("--long-window", type=int, default=28)
-    p_det.add_argument("--reference-k", type=float, default=0.5)
-    p_det.add_argument("--decision-h", type=float, default=5.0)
+    _add_method_flags(p_det)
     p_det.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p_det.add_argument("--plot", default=None, help="also write an SVG plot here")
     p_det.set_defaults(func=cmd_detect)
@@ -373,18 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a method against ground truth")
     p_eval.add_argument("--corpus", default=None, help="directory of generated series")
     _add_pattern_flags(p_eval)
-    p_eval.add_argument(
-        "--method",
-        default="signature",
-        choices=sorted(("signature", "ma_crossover", "cusum", "rolling_regression")),
-    )
+    _add_method_flags(p_eval)
     _add_detector_flags(p_eval)
     p_eval.add_argument("--tolerance", type=int, default=3, help="match tolerance in days")
-    p_eval.add_argument("--short-window", type=int, default=7)
-    p_eval.add_argument("--long-window", type=int, default=28)
-    p_eval.add_argument("--reference-k", type=float, default=0.5)
-    p_eval.add_argument("--decision-h", type=float, default=5.0)
-    p_eval.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_eval.add_argument("--out", default=None, help="metrics JSON path (default stdout)")
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -411,9 +394,6 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PatternSpecError, ConfigurationError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SigFatigueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

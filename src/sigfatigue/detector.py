@@ -22,7 +22,7 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import InvalidInputError
 from .sigcore import flatten, log_signature, path_signature
@@ -36,6 +36,7 @@ __all__ = [
     "ChangePointReport",
     "distance_series",
     "detect",
+    "ols_slope_test",
     "classify_trend",
     "segment_series",
 ]
@@ -213,6 +214,32 @@ def _merge_flags(flags: list, merge_gap: int) -> list:
     return sorted(emitted, key=lambda f: f.boundary_date)
 
 
+def ols_slope_test(x, y) -> tuple:
+    """OLS slope of ``y`` on ``x`` plus its two-sided t-test p-value.
+
+    Returns (slope, p_value).  Fewer than 2 points give (0, 1); exactly
+    2 points fit a slope with no residual degrees of freedom, so p = 1.
+    A zero standard error gives p = 1 for a zero slope, else p = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 2:
+        return 0.0, 1.0
+    xc = x - x.mean()
+    sxx = float(xc @ xc)
+    slope = float(xc @ (y - y.mean()) / sxx)
+    if n < 3:
+        return slope, 1.0
+    resid = y - (y.mean() + slope * xc)
+    ssr = float(resid @ resid)
+    se = np.sqrt(ssr / (n - 2) / sxx)
+    if se == 0.0:
+        return slope, 1.0 if slope == 0.0 else 0.0
+    # the Student t survival function, as scipy.stats.t.sf evaluates it
+    return slope, float(2.0 * special.stdtr(n - 2, -(abs(slope) / se)))
+
+
 def classify_trend(points, metric: str = "ctr", alpha: float = 0.05) -> tuple:
     """OLS slope of the metric on day offsets plus a two-sided t-test.
 
@@ -220,24 +247,10 @@ def classify_trend(points, metric: str = "ctr", alpha: float = 0.05) -> tuple:
     day.  Segments with fewer than 3 points are stable with p = 1.
     """
     points = tuple(points)
-    n = len(points)
-    if n < 2:
-        return "stable", 0.0, 1.0
-    d0 = points[0].date
-    x = np.array([(p.date - d0).days for p in points], dtype=float)
-    y = np.array([p.metric(metric) for p in points], dtype=float)
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    slope = float(xc @ (y - y.mean()) / sxx)
-    if n < 3:
-        return "stable", slope, 1.0
-    resid = y - (y.mean() + slope * xc)
-    ssr = float(resid @ resid)
-    se = np.sqrt(ssr / (n - 2) / sxx)
-    if se == 0.0:
-        p_value = 1.0 if slope == 0.0 else 0.0
-    else:
-        p_value = float(2.0 * stats.t.sf(abs(slope) / se, n - 2))
+    d0 = points[0].date if points else None
+    slope, p_value = ols_slope_test(
+        [(p.date - d0).days for p in points], [p.metric(metric) for p in points]
+    )
     if p_value < alpha and slope > 0:
         return "improving", slope, p_value
     if p_value < alpha and slope < 0:

@@ -18,7 +18,7 @@ feature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -238,18 +238,7 @@ def evaluate_corpus(
         if n_boot >= 1 and len(per_series) >= 2
         else None
     )
-    pooled = EvalMetrics(
-        precision=pooled.precision,
-        recall=pooled.recall,
-        f1=pooled.f1,
-        mean_delay_days=pooled.mean_delay_days,
-        n_detected=pooled.n_detected,
-        n_true=pooled.n_true,
-        n_matched=pooled.n_matched,
-        delays=pooled.delays,
-        ci=ci,
-    )
-    return per_series, pooled
+    return per_series, replace(pooled, ci=ci)
 
 
 def parity_split(corpus) -> tuple:
@@ -266,6 +255,21 @@ def _grid_cells(grid: dict) -> list:
     return cells
 
 
+def _grid_rows(method: str, grid: dict, corpus, policy, n_boot: int, seed: int) -> list:
+    """(params, pooled metrics) for every grid cell, in lexicographic order."""
+    if not grid or not any(len(v) for v in grid.values()):
+        raise InvalidInputError("parameter grid must be non-empty")
+    corpus = list(corpus)
+    if not corpus:
+        raise InvalidInputError("corpus must be non-empty")
+    rows = []
+    for params in _grid_cells(grid):
+        run = make_method(method, **params)
+        _, pooled = evaluate_corpus(corpus, run, policy, n_boot=n_boot, seed=seed)
+        rows.append((params, pooled))
+    return rows
+
+
 def grid_search(
     method: str,
     grid: dict,
@@ -278,16 +282,7 @@ def grid_search(
     Ties on the objective break toward the earlier (more negative) mean
     delay, then the earlier grid cell in lexicographic parameter order.
     """
-    if not grid or not any(len(v) for v in grid.values()):
-        raise InvalidInputError("parameter grid must be non-empty")
-    corpus = list(corpus)
-    if not corpus:
-        raise InvalidInputError("validation corpus must be non-empty")
-    rows = []
-    for params in _grid_cells(grid):
-        run = make_method(method, **params)
-        _, pooled = evaluate_corpus(corpus, run, policy, n_boot=0, seed=0)
-        rows.append((params, pooled))
+    rows = _grid_rows(method, grid, corpus, policy, n_boot=0, seed=0)
     best_params, best_metrics = rows[0]
     for params, pooled in rows[1:]:
         cur = getattr(pooled, objective)
@@ -319,13 +314,8 @@ def sensitivity_report(
     """
     if grid is None:
         grid = {"window": [7, 14, 21], "threshold_k": [1.5, 2.0, 2.5], "depth": [3]}
-    if not grid or not any(len(v) for v in grid.values()):
-        raise InvalidInputError("parameter grid must be non-empty")
-    corpus = list(corpus)
     rows = []
-    for params in _grid_cells(grid):
-        run = make_method("signature", **params)
-        _, pooled = evaluate_corpus(corpus, run, policy, n_boot=n_boot, seed=seed)
+    for params, pooled in _grid_rows("signature", grid, corpus, policy, n_boot, seed):
         row = {
             "window": params.get("window"),
             "threshold_k": params.get("threshold_k"),

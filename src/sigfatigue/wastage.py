@@ -93,8 +93,8 @@ def _benchmark_cpc(series: TimeSeries, bench_points, user_cpc: float | None) -> 
     if costed and total_clicks > 0:
         return sum(p.cost for p in bench_points) / total_clicks
     if user_cpc is not None:
-        if user_cpc < 0:
-            raise ConfigurationError("cpc must be nonnegative")
+        if not 0 <= user_cpc < math.inf:
+            raise ConfigurationError("cpc must be finite and nonnegative")
         return float(user_cpc)
     if costed:
         raise ConfigurationError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,8 +62,8 @@ class SeriesPoint:
             raise InvalidInputError(
                 f"{self.date}: clicks must satisfy 0 <= clicks <= impressions"
             )
-        if self.cost is not None and self.cost < 0:
-            raise InvalidInputError(f"{self.date}: cost must be nonnegative")
+        if self.cost is not None and not 0 <= self.cost < math.inf:
+            raise InvalidInputError(f"{self.date}: cost must be finite and nonnegative")
 
     @property
     def ctr(self) -> float:

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from sigfatigue.cli import main
+import sigfatigue
+from sigfatigue.cli import _dump_json, build_parser, main
+from sigfatigue.evaluation import METHODS
 
 
 def run(argv):
@@ -86,6 +92,24 @@ class TestDetect:
         short.write_text("\n".join(rows) + "\n")
         assert run(["detect", str(short), "--window", "14"]) == 3
 
+    def test_plot_with_baseline_method_exits_2(self, tmp_path, capsys):
+        csv_path, _ = gen_fixture(tmp_path)
+        svg_path = tmp_path / "x.svg"
+        code = run(["detect", str(csv_path), "--method", "cusum", "--plot", str(svg_path)])
+        assert code == 2
+        assert "--plot" in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    def test_nan_cost_exits_2_naming_line(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        rows = ["date,impressions,clicks,cost"] + [
+            f"2024-01-{d:02d},100,5,{'nan' if d == 20 else '2.5'}" for d in range(1, 31)
+        ]
+        bad.write_text("\n".join(rows) + "\n")
+        assert run(["wastage", str(bad)]) == 2
+        assert "line 21" in capsys.readouterr().err
+        assert run(["detect", str(bad)]) == 2
+
     def test_detect_determinism(self, tmp_path):
         csv_path, _ = gen_fixture(tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -129,6 +153,39 @@ class TestWastage:
 
 
 class TestEvaluateAndSweep:
+    EVAL = [
+        "evaluate", "--pattern", "sharp_drop", "--n", "5", "--seed", "101",
+        "--duration", "120", "--k", "1.5",
+    ]
+
+    def _metrics(self, tmp_path, *extra):
+        out = tmp_path / "m.json"
+        assert run(self.EVAL + [*extra, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_evaluate_merge_gap_honoured(self, tmp_path):
+        merged = self._metrics(tmp_path, "--merge-gap", "14")
+        raw = self._metrics(tmp_path, "--merge-gap", "0")
+        assert merged["params"]["merge_gap"] == 14
+        assert merged["metrics"]["n_detected"] < raw["metrics"]["n_detected"]
+
+    def test_evaluate_default_params_omit_merge_gap(self, tmp_path):
+        assert "merge_gap" not in self._metrics(tmp_path)["params"]
+
+    def test_evaluate_metric_honoured(self, tmp_path):
+        ctr = self._metrics(tmp_path)["metrics"]
+        clicks = self._metrics(tmp_path, "--metric", "clicks")["metrics"]
+        assert clicks != ctr
+
+    def test_evaluate_cost_metric_without_cost_exits_2(self, capsys):
+        assert run(self.EVAL + ["--metric", "cost"]) == 2
+        assert "no cost recorded" in capsys.readouterr().err
+
+    def test_evaluate_has_no_jobs_flag(self):
+        with pytest.raises(SystemExit) as err:
+            main(self.EVAL + ["--jobs", "2"])
+        assert err.value.code == 2
+
     def test_evaluate_generated_corpus(self, tmp_path):
         out = tmp_path / "metrics.json"
         code = run([
@@ -185,3 +242,32 @@ def test_unknown_method_choices_guard():
     with pytest.raises(SystemExit) as err:
         main(["evaluate", "--pattern", "sharp_drop", "--method", "nope"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["detect", "x.csv"], ["evaluate", "--pattern", "sharp_drop"]]
+)
+def test_method_choices_come_from_registry(argv, monkeypatch):
+    monkeypatch.setitem(METHODS, "noop", lambda **_: lambda series: [])
+    assert build_parser().parse_args(argv + ["--method", "noop"]).method == "noop"
+
+
+def test_json_output_is_strict(tmp_path):
+    with pytest.raises(ValueError):
+        _dump_json({"total_wastage": float("nan")}, str(tmp_path / "x.json"))
+
+
+def test_cpc_must_be_finite(tmp_path, capsys):
+    csv_path, _ = gen_fixture(tmp_path)
+    assert run(["wastage", str(csv_path), "--cpc", "nan"]) == 2
+    assert "cpc" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(sigfatigue.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, sigfatigue.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from sigfatigue.detector import (
     classify_trend,
     detect,
     distance_series,
+    ols_slope_test,
     segment_series,
 )
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
@@ -214,6 +215,40 @@ class TestClassifyTrend:
         ]
         _, slope, _ = classify_trend(pts, "ctr", 0.05)
         assert slope == pytest.approx(0.001, rel=1e-6)
+
+
+class TestOlsSlopeTest:
+    def test_p_value_matches_scipy_stats_oracle(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(20240)
+        for _ in range(500):
+            n = int(rng.integers(3, 40))
+            x = np.cumsum(rng.integers(1, 4, n)).astype(float)
+            y = rng.normal(0.02, 0.005, n) + rng.normal(0, 1e-4) * x
+            slope, p = ols_slope_test(x, y)
+            xc = x - x.mean()
+            sxx = float(xc @ xc)
+            resid = y - (y.mean() + slope * xc)
+            se = np.sqrt(float(resid @ resid) / (n - 2) / sxx)
+            assert slope == float(xc @ (y - y.mean()) / sxx)
+            assert p == float(2.0 * stats.t.sf(abs(slope) / se, n - 2))
+
+    @pytest.mark.parametrize("x, y", [([], []), ([3.0], [0.5])])
+    def test_fewer_than_two_points(self, x, y):
+        assert ols_slope_test(x, y) == (0.0, 1.0)
+
+    def test_two_points_have_slope_but_no_test(self):
+        assert ols_slope_test([0.0, 2.0], [1.0, 5.0]) == (2.0, 1.0)
+
+    def test_zero_residual_zero_slope(self):
+        assert ols_slope_test([0.0, 1.0, 2.0, 3.0], [0.02] * 4) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_residual_nonzero_slope(self, sign):
+        x = [0.0, 1.0, 2.0, 3.0]
+        y = [sign * (3.0 * v + 1.0) for v in x]
+        assert ols_slope_test(x, y) == (sign * 3.0, 0.0)
 
 
 class TestSegmentSeries:

@@ -44,6 +44,11 @@ class TestSeriesPoint:
         with pytest.raises(InvalidInputError):
             SeriesPoint(date=START, impressions=10, clicks=1, cost=-1.0)
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_rejects_non_finite_cost(self, cost):
+        with pytest.raises(InvalidInputError, match="finite"):
+            SeriesPoint(date=START, impressions=10, clicks=1, cost=cost)
+
     def test_metric_selector(self):
         p = SeriesPoint(date=START, impressions=200, clicks=30, cost=12.0)
         assert p.metric("ctr") == 0.15
@@ -258,6 +263,16 @@ class TestCsvIO:
         path = tmp_path / "s.csv"
         path.write_text(
             "date,impressions,clicks\n2024-01-02,100,5\n2024-01-01,100,5\n"
+        )
+        with pytest.raises(CsvFormatError) as err:
+            read_series_csv(path)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cost_names_line(self, tmp_path, cell):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            f"date,impressions,clicks,cost\n2024-01-01,100,5,1.0\n2024-01-02,100,5,{cell}\n"
         )
         with pytest.raises(CsvFormatError) as err:
             read_series_csv(path)
