@@ -18,6 +18,7 @@ from .detector import (
     classify_trend,
     detect,
     distance_series,
+    flag_change_points,
     ols_slope_test,
     segment_series,
 )
@@ -43,6 +44,7 @@ from .evaluation import (
 )
 from .sigcore import (
     TensorSeq,
+    batch_signature,
     chen_concat,
     flatten,
     log_signature,
@@ -61,13 +63,10 @@ from .synth import (
 )
 from .wastage import WastageReport, compute_wastage, lost_clicks, select_benchmark
 from .windowing import (
-    NormalizedPath,
     SeriesPoint,
     TimeSeries,
-    normalize_window,
-    normalize_window_pair,
+    pair_paths,
     read_series_csv,
-    window_pairs,
     write_series_csv,
 )
 

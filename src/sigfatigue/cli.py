@@ -82,11 +82,58 @@ def _detector_config(args) -> DetectorConfig:
     )
 
 
+# Defaults of the detector and method flags.  On the command line they
+# default to None, so that a flag the chosen method does not read can be
+# told apart from one left unset, and rejected.
+FLAG_DEFAULTS = {
+    "window": 14,
+    "depth": 3,
+    "k": 2.0,
+    "alpha": 0.05,
+    "merge_gap": None,
+    "feature_mode": "full",
+    "short_window": 7,
+    "long_window": 28,
+    "reference_k": 0.5,
+    "decision_h": 5.0,
+}
+
+# Each method's parameters and the flag that sets each one.
+METHOD_PARAMS = {
+    "signature": {
+        "window": "window",
+        "depth": "depth",
+        "threshold_k": "k",
+        "feature_mode": "feature_mode",
+        "merge_gap": "merge_gap",
+    },
+    "ma_crossover": {"short_window": "short_window", "long_window": "long_window"},
+    "cusum": {"reference_k": "reference_k", "decision_h": "decision_h"},
+    "rolling_regression": {"window": "window", "alpha": "alpha"},
+}
+
+# Flags a signature detection report reads: the method's parameters plus
+# the significance level of the segment trend tests.
+DETECTOR_FLAGS = (*METHOD_PARAMS["signature"].values(), "alpha")
+
+
+def _resolve_flags(args, reads) -> None:
+    """Fill in the defaults of the flags in ``reads``; reject other given flags."""
+    for dest, default in FLAG_DEFAULTS.items():
+        if dest in reads:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest, None) is not None:
+            raise ConfigurationError(
+                f"--{dest.replace('_', '-')} is not read by --method {args.method}"
+            )
+
+
 def _add_detector_flags(parser) -> None:
-    parser.add_argument("--window", type=int, default=14, help="window size in observations")
-    parser.add_argument("--depth", type=int, default=3, help="signature truncation depth")
-    parser.add_argument("--k", type=float, default=2.0, help="threshold multiplier")
-    parser.add_argument("--alpha", type=float, default=0.05, help="trend-test significance level")
+    parser.add_argument("--window", type=int, default=None, help="window size in observations")
+    parser.add_argument("--depth", type=int, default=None, help="signature truncation depth")
+    parser.add_argument("--k", type=float, default=None, help="threshold multiplier")
+    parser.add_argument("--alpha", type=float, default=None, help="trend-test significance level")
     parser.add_argument(
         "--merge-gap",
         type=int,
@@ -94,7 +141,7 @@ def _add_detector_flags(parser) -> None:
         help="merge flags within this many days (default: window, or 0 when scoring)",
     )
     parser.add_argument(
-        "--feature-mode", choices=("full", "log"), default="full",
+        "--feature-mode", choices=("full", "log"), default=None,
         help="distance features: full signature or its tensor logarithm",
     )
     parser.add_argument("--metric", default="ctr", help="series column to analyse")
@@ -107,10 +154,10 @@ def _add_method_flags(parser) -> None:
         choices=sorted(METHODS),
         help="detector to run; non-signature methods report bare change dates",
     )
-    parser.add_argument("--short-window", type=int, default=7)
-    parser.add_argument("--long-window", type=int, default=28)
-    parser.add_argument("--reference-k", type=float, default=0.5)
-    parser.add_argument("--decision-h", type=float, default=5.0)
+    parser.add_argument("--short-window", type=int, default=None)
+    parser.add_argument("--long-window", type=int, default=None)
+    parser.add_argument("--reference-k", type=float, default=None)
+    parser.add_argument("--decision-h", type=float, default=None)
 
 
 def _add_pattern_flags(parser) -> None:
@@ -217,6 +264,10 @@ def cmd_generate(args) -> int:
 def cmd_detect(args) -> int:
     if args.plot and args.method != "signature":
         raise ConfigurationError("--plot needs --method signature")
+    _resolve_flags(
+        args,
+        DETECTOR_FLAGS if args.method == "signature" else METHOD_PARAMS[args.method].values(),
+    )
     series = read_series_csv(args.input, metric=args.metric)
     if args.method != "signature":
         params = _method_params(args)
@@ -242,6 +293,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_wastage(args) -> int:
+    _resolve_flags(args, DETECTOR_FLAGS)
     series = read_series_csv(args.input, metric=args.metric)
     cfg = _detector_config(args)
     report = detect(series, cfg)
@@ -256,26 +308,17 @@ def cmd_wastage(args) -> int:
 
 
 def _method_params(args) -> dict:
-    if args.method == "signature":
-        params = {
-            "window": args.window,
-            "depth": args.depth,
-            "threshold_k": args.k,
-            "feature_mode": args.feature_mode,
-        }
-        if args.merge_gap is not None:
-            params["merge_gap"] = args.merge_gap
-        return params
-    if args.method == "ma_crossover":
-        return {"short_window": args.short_window, "long_window": args.long_window}
-    if args.method == "cusum":
-        return {"reference_k": args.reference_k, "decision_h": args.decision_h}
-    if args.method == "rolling_regression":
-        return {"window": args.window, "alpha": args.alpha}
-    return {}
+    # after _resolve_flags only an unset --merge-gap is None; the method
+    # then keeps its own default
+    return {
+        name: getattr(args, dest)
+        for name, dest in METHOD_PARAMS[args.method].items()
+        if getattr(args, dest) is not None
+    }
 
 
 def cmd_evaluate(args) -> int:
+    _resolve_flags(args, METHOD_PARAMS[args.method].values())
     corpus = _load_corpus(args.corpus) if args.corpus else _build_corpus(args)
     corpus = [
         replace(item, series=replace(item.series, metric=args.metric)) for item in corpus

@@ -25,8 +25,8 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidInputError
-from .sigcore import flatten, log_signature, path_signature
-from .windowing import TimeSeries, normalize_window_pair, window_pairs
+from .sigcore import batch_signature
+from .windowing import TimeSeries, pair_paths
 
 __all__ = [
     "DetectorConfig",
@@ -35,6 +35,7 @@ __all__ = [
     "Segment",
     "ChangePointReport",
     "distance_series",
+    "flag_change_points",
     "detect",
     "ols_slope_test",
     "classify_trend",
@@ -164,34 +165,25 @@ class ChangePointReport:
         }
 
 
-def _looped(path) -> np.ndarray:
-    # close the window path through the baseline so window level survives
-    # the signature's translation invariance
-    pts = path.points
-    out = np.empty((pts.shape[0] + 2, 2))
-    out[0] = (0.0, 0.0)
-    out[1:-1] = pts
-    out[-1] = (1.0, 0.0)
-    return out
-
-
-def _feature(path, cfg: DetectorConfig) -> np.ndarray:
-    sig = path_signature(_looped(path), cfg.depth)
-    if cfg.feature_mode == "log":
-        sig = log_signature(sig)
-    return flatten(sig)
-
-
 def distance_series(series: TimeSeries, cfg: DetectorConfig) -> list:
     """Signature distance at every window-pair boundary, in date order."""
-    out = []
-    for pair in window_pairs(series, cfg.window):
-        left, right = normalize_window_pair(pair.left, pair.right, series.metric)
-        dist = float(
-            np.linalg.norm(_feature(left, cfg) - _feature(right, cfg))
-        )
-        out.append(DistancePoint(boundary_date=pair.boundary_date, distance=dist))
-    return out
+    dates, left, right = pair_paths(series, cfg.window)
+    n_pairs, window, _ = left.shape
+    # close each window path into a loop (0, 0) -> path -> (1, 0) so that
+    # window level survives the signature's translation invariance
+    loops = np.zeros((2 * n_pairs, window + 2, 2))
+    loops[:n_pairs, 1:-1] = left
+    loops[n_pairs:, 1:-1] = right
+    loops[:, -1, 0] = 1.0
+    del left, right  # the loops hold a copy; keep peak memory to one of them
+    features = batch_signature(loops, cfg.depth, log=cfg.feature_mode == "log")
+    diff = features[:n_pairs] - features[n_pairs:]
+    # one norm per row rounds each distance exactly as sig_distance does;
+    # a batched sum of squares would round differently
+    return [
+        DistancePoint(boundary_date=d, distance=float(np.linalg.norm(row)))
+        for d, row in zip(dates, diff)
+    ]
 
 
 def _merge_flags(flags: list, merge_gap: int) -> list:
@@ -212,6 +204,26 @@ def _merge_flags(flags: list, merge_gap: int) -> list:
             continue
         emitted.append(flag)
     return sorted(emitted, key=lambda f: f.boundary_date)
+
+
+def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
+    """Threshold a distance series and merge its flags into change points.
+
+    A boundary is flagged when its distance exceeds mean + k * std of all
+    distances; flags are merged within ``cfg.effective_merge_gap`` days.
+    Returns (mean, std, threshold, change points).
+    """
+    values = np.array([d.distance for d in distances])
+    mean = float(values.mean())
+    std = float(values.std())  # population form: deterministic for n = 1
+    threshold = mean + cfg.threshold_k * std
+    flags = [d for d in distances if d.distance > threshold]
+    merged = _merge_flags(flags, cfg.effective_merge_gap)
+    change_points = tuple(
+        ChangePoint(date=f.boundary_date, distance=f.distance, threshold=threshold)
+        for f in merged
+    )
+    return mean, std, threshold, change_points
 
 
 def ols_slope_test(x, y) -> tuple:
@@ -302,16 +314,7 @@ def detect(series: TimeSeries, cfg: DetectorConfig | None = None) -> ChangePoint
     """Full detection pipeline: distances, threshold, merge, segment."""
     cfg = cfg or DetectorConfig()
     distances = distance_series(series, cfg)
-    values = np.array([d.distance for d in distances])
-    mean = float(values.mean())
-    std = float(values.std())  # population form: deterministic for n = 1
-    threshold = mean + cfg.threshold_k * std
-    flags = [d for d in distances if d.distance > threshold]
-    merged = _merge_flags(flags, cfg.effective_merge_gap)
-    change_points = tuple(
-        ChangePoint(date=f.boundary_date, distance=f.distance, threshold=threshold)
-        for f in merged
-    )
+    mean, std, threshold, change_points = flag_change_points(distances, cfg)
     segments = tuple(
         segment_series(series, [c.date for c in change_points], cfg.alpha)
     )

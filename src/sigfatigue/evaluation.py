@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines
-from .detector import DetectorConfig, detect
+from .detector import DetectorConfig, distance_series, flag_change_points
 from .errors import InvalidInputError
 
 __all__ = [
@@ -181,7 +181,8 @@ def _signature_method(**params):
     cfg = DetectorConfig(merge_gap=params.pop("merge_gap", 0), **params)
 
     def run(series):
-        return [c.date for c in detect(series, cfg).change_points]
+        _, _, _, change_points = flag_change_points(distance_series(series, cfg), cfg)
+        return [c.date for c in change_points]
 
     return run
 

@@ -20,6 +20,12 @@ d^k whose entries are ordered lexicographically by multi-index
 (i1, ..., ik), each i in {1..d}.  This is the C-order raveling of the
 corresponding k-tensor, so flattened tensor products are plain outer
 products.  All values are immutable; every function is pure.
+
+``batch_signature`` is the hot path: one vectorised Chen fold (and
+truncated log) over a whole batch of paths, taken in blocks of ``BLOCK``
+paths.  ``path_signature`` and ``log_signature`` run it on a batch of
+one; ``TensorSeq``, ``segment_signature``, ``chen_concat`` and
+``tensor_exp`` are the readable specification it is tested against.
 """
 
 from __future__ import annotations
@@ -38,11 +44,16 @@ __all__ = [
     "chen_concat",
     "path_signature",
     "log_signature",
+    "batch_signature",
     "tensor_exp",
     "flatten",
     "flat_length",
     "sig_distance",
 ]
+
+# Paths per kernel block.  Fixed so that the kernel's peak memory is
+# bounded by one block's intermediates, not by the batch size.
+BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -157,13 +168,93 @@ def _as_points(path) -> np.ndarray:
     return arr
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flattened outer product over the leading axes of (p, ..., B) and (q, ..., B).
+
+    Batched arrays keep the batch B as the last, contiguous axis, so the
+    products and cumulative sums run over long rows of paths.
+    """
+    return (a[:, None] * b[None, :]).reshape(-1, *a.shape[1:])
+
+
+def _signature_levels(paths: np.ndarray, depth: int) -> list:
+    """Chen fold over a batch: level k of each path of ``paths`` (B, n, d)
+    as a (d**k, B) array.
+
+    The fold is restructured as cumulative sums over segments: the
+    level-k increment contributed by segment s is
+    sum_{j=1..k} S^{k-j}(prefix) (x) delta_s^j / j!.
+    """
+    deltas = np.diff(np.ascontiguousarray(paths.transpose(2, 1, 0)), axis=1)  # (d, m, B)
+    # pows[j-1][:, s] = delta_s^{tensor j} / j!, flattened
+    pows = [deltas]
+    for j in range(2, depth + 1):
+        pows.append(_outer(pows[-1], deltas) / j)
+    levels = []
+    prefixes = []  # running level values before each segment
+    for k in range(1, depth + 1):
+        incr = pows[k - 1].copy()
+        for j in range(1, k):
+            incr += _outer(prefixes[k - j - 1], pows[j - 1])
+        cum = np.cumsum(incr, axis=1)
+        levels.append(cum[:, -1])
+        if k < depth:
+            prefixes.append(np.concatenate([np.zeros_like(cum[:, :1]), cum[:, :-1]], axis=1))
+    return levels
+
+
+def _log_levels(levels: list) -> list:
+    """Truncated tensor logarithm of a batch of signatures, levels (d**k, B).
+
+    With x = sig - 1, sums (-1)^{n+1} x^{tensor n} / n over n <= depth.
+    """
+    depth = len(levels)
+    acc = [lev.copy() for lev in levels]
+    power = levels
+    for n in range(2, depth + 1):
+        power = [np.zeros_like(levels[0])] + [
+            sum(_outer(power[i - 1], levels[k - i - 1]) for i in range(1, k))
+            for k in range(2, depth + 1)
+        ]
+        coef = (-1.0) ** (n + 1) / n
+        for k in range(depth):
+            acc[k] = acc[k] + coef * power[k]
+    return acc
+
+
+def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
+    """Flattened truncated signatures of a batch of polylines.
+
+    ``paths`` is a (B, n, d) array of B paths with n >= 2 vertices each.
+    Returns a (B, flat_length(d, depth)) array whose row b equals
+    ``flatten(path_signature(paths[b], depth))``, or with ``log`` its
+    ``log_signature``.  Paths are processed in blocks of ``BLOCK`` so
+    that peak memory stays fixed whatever B is.
+    """
+    if depth < 1:
+        raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim != 3 or paths.shape[1] < 2:
+        raise InvalidInputError("paths must be a (B, n>=2, d) array of vertices")
+    out = np.empty((paths.shape[0], flat_length(paths.shape[2], depth)))
+    for start in range(0, paths.shape[0], BLOCK):
+        block = paths[start : start + BLOCK]
+        if not np.all(np.isfinite(block)):
+            raise InvalidInputError("path vertices must be finite")
+        levels = _signature_levels(block, depth)
+        if log:
+            levels = _log_levels(levels)
+        out[start : start + BLOCK] = np.concatenate(levels).T
+    return out
+
+
 def path_signature(path, depth: int) -> TensorSeq:
     """Exact truncated signature of a piecewise-linear path.
 
     Equivalent to folding ``segment_signature`` over the consecutive
-    vertex increments with ``chen_concat``; implemented as a single
-    vectorised pass over segments.  Accepts an (n, d) vertex array or
-    any object with a ``points`` attribute holding one.
+    vertex increments with ``chen_concat``; computed by the batched
+    kernel on a batch of one.  Accepts an (n, d) vertex array or any
+    object with a ``points`` attribute holding one.
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
@@ -172,33 +263,10 @@ def path_signature(path, depth: int) -> TensorSeq:
         raise InsufficientDataError(
             f"path needs at least 2 points, got {pts.shape[0]}"
         )
-    deltas = np.diff(pts, axis=0)  # (m, d)
-    m, dim = deltas.shape
-
-    # pows[j-1][s] = delta_s^{tensor j} / j!, flattened
-    pows = [deltas]
-    for j in range(2, depth + 1):
-        pows.append(
-            np.einsum("ma,mb->mab", pows[-1], deltas).reshape(m, -1) / j
-        )
-
-    # Chen fold, restructured as cumulative sums: the level-k increment
-    # contributed by segment s is  sum_{j=1..k} S^{k-j}(prefix) (x) delta_s^j/j!
-    levels = []
-    prefixes = []  # running level values before each segment
-    for k in range(1, depth + 1):
-        incr = pows[k - 1].copy()
-        for j in range(1, k):
-            incr += np.einsum(
-                "ma,mb->mab", prefixes[k - j - 1], pows[j - 1]
-            ).reshape(m, -1)
-        cum = np.cumsum(incr, axis=0)
-        pref = np.empty_like(cum)
-        pref[0] = 0.0
-        pref[1:] = cum[:-1]
-        prefixes.append(pref)
-        levels.append(cum[-1])
-    return TensorSeq(dim=dim, depth=depth, level0=1.0, levels=tuple(levels))
+    levels = _signature_levels(pts[None], depth)
+    return TensorSeq(
+        dim=pts.shape[1], depth=depth, level0=1.0, levels=tuple(lev[:, 0] for lev in levels)
+    )
 
 
 def log_signature(sig: TensorSeq) -> TensorSeq:
@@ -211,15 +279,10 @@ def log_signature(sig: TensorSeq) -> TensorSeq:
         raise InvalidInputError(
             f"log requires a group-like element with level0 == 1, got {sig.level0}"
         )
-    x = TensorSeq(dim=sig.dim, depth=sig.depth, level0=0.0, levels=sig.levels)
-    acc = [lev.copy() for lev in x.levels]
-    power = x
-    for n in range(2, sig.depth + 1):
-        power = _product(power, x)
-        coef = (-1.0) ** (n + 1) / n
-        for k in range(sig.depth):
-            acc[k] = acc[k] + coef * power.levels[k]
-    return TensorSeq(dim=sig.dim, depth=sig.depth, level0=0.0, levels=tuple(acc))
+    levels = _log_levels([lev[:, None] for lev in sig.levels])
+    return TensorSeq(
+        dim=sig.dim, depth=sig.depth, level0=0.0, levels=tuple(lev[:, 0] for lev in levels)
+    )
 
 
 def tensor_exp(lie: TensorSeq) -> TensorSeq:

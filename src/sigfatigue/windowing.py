@@ -1,4 +1,4 @@
-"""Time-series model, window extraction and unit-square normalization.
+"""Time-series model, CSV ingestion and window-pair normalization.
 
 Daily observations carry impressions, clicks and optional spend; the
 click-through rate is derived, never stored.  Windows are counted in
@@ -18,9 +18,10 @@ import csv
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CsvFormatError,
@@ -31,11 +32,7 @@ from .errors import (
 __all__ = [
     "SeriesPoint",
     "TimeSeries",
-    "NormalizedPath",
-    "WindowPair",
-    "window_pairs",
-    "normalize_window",
-    "normalize_window_pair",
+    "pair_paths",
     "read_series_csv",
     "write_series_csv",
 ]
@@ -137,42 +134,20 @@ class TimeSeries:
         return tuple(p for p in self.points if start <= p.date <= end)
 
 
-@dataclass(frozen=True)
-class NormalizedPath:
-    """Polyline in the unit square: column 0 is time, column 1 the metric."""
+def pair_paths(series: TimeSeries, window: int) -> tuple:
+    """Unit-square paths of every adjacent window pair, stride 1.
 
-    points: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        arr = np.asarray(self.points, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-            raise InvalidInputError("normalized path must be an (n>=2, 2) array")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("normalized path must be finite")
-        if np.any(np.diff(arr[:, 0]) <= 0):
-            raise InvalidInputError("normalized time must be strictly increasing")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise InvalidInputError("normalized coordinates must lie in [0, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "points", arr)
-
-
-@dataclass(frozen=True)
-class WindowPair:
-    """Two adjacent non-overlapping windows and their boundary date."""
-
-    left: tuple
-    right: tuple
-    boundary_date: dt.date
-
-
-def window_pairs(series: TimeSeries, window: int) -> list:
-    """All adjacent window pairs of ``window`` observations, stride 1.
-
-    The boundary date of a pair is the date of the first observation of
-    the right window.  A series of T points yields T - 2*window + 1
-    pairs.
+    A series of T observations has P = T - 2*window + 1 pairs; pair i is
+    observations i .. i + window - 1 (left) and the next ``window``
+    (right), and its boundary date is the date of the first observation
+    of the right window.  Returns (boundary dates, left, right), with
+    left and right (P, window, 2) arrays of paths.  Column 0 is time,
+    mapped to [0, 1] over each window by elapsed days so calendar gaps
+    survive as non-uniform spacing.  Column 1 is the metric, min-max
+    scaled over the union of the pair's two windows, with constant
+    pairs pinned to 0.5.  The shared scale is what lets the downstream
+    signature comparison see level shifts between the windows, which
+    per-window scaling would erase.
     """
     if window < 2:
         raise InvalidInputError(f"window must be >= 2, got {window}")
@@ -181,66 +156,24 @@ def window_pairs(series: TimeSeries, window: int) -> list:
         raise InsufficientDataError(
             f"series has {n} observations but window={window} requires at least {2 * window}"
         )
-    pts = series.points
-    out = []
-    for i in range(n - 2 * window + 1):
-        left = pts[i : i + window]
-        right = pts[i + window : i + 2 * window]
-        out.append(WindowPair(left=left, right=right, boundary_date=right[0].date))
-    return out
-
-
-def _normalize_time(points) -> np.ndarray:
-    d0 = points[0].date
-    offsets = np.array([(p.date - d0).days for p in points], dtype=float)
-    return offsets / offsets[-1]
-
-
-def _minmax(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    if hi == lo:
-        # any constant window is geometrically a flat line; keep it
-        # interior to the unit square
-        return np.full(values.shape, 0.5)
-    return (values - lo) / (hi - lo)
-
-
-def normalize_window(points, metric: str = "ctr") -> NormalizedPath:
-    """Scale a window to the unit square.
-
-    Time maps to [0, 1] by elapsed days, so calendar gaps survive as
-    non-uniform spacing; the metric is min-max scaled over the window,
-    with constant windows pinned to 0.5.
-    """
-    points = tuple(points)
-    if len(points) < 2:
-        raise InsufficientDataError(
-            f"window needs at least 2 points, got {len(points)}"
-        )
-    values = np.array([p.metric(metric) for p in points], dtype=float)
-    t = _normalize_time(points)
-    y = _minmax(values, values.min(), values.max())
-    return NormalizedPath(points=np.column_stack([t, y]))
-
-
-def normalize_window_pair(left, right, metric: str = "ctr") -> tuple:
-    """Normalize two adjacent windows with a shared metric scale.
-
-    Each window keeps its own [0, 1] time axis, but the min-max scaling
-    of the metric runs over the union of both windows.  The shared scale
-    is what lets the downstream signature comparison see level shifts
-    between the windows, which per-window scaling would erase.
-    """
-    left, right = tuple(left), tuple(right)
-    if len(left) < 2 or len(right) < 2:
-        raise InsufficientDataError("each window needs at least 2 points")
-    values = np.array([p.metric(metric) for p in left + right], dtype=float)
-    lo, hi = values.min(), values.max()
-    y = _minmax(values, lo, hi)
-    t_left, t_right = _normalize_time(left), _normalize_time(right)
-    return (
-        NormalizedPath(points=np.column_stack([t_left, y[: len(left)]])),
-        NormalizedPath(points=np.column_stack([t_right, y[len(left) :]])),
-    )
+    n_pairs = n - 2 * window + 1
+    pairs = sliding_window_view(series.metric_values(), 2 * window)  # (P, 2W) view
+    lo = pairs.min(axis=1, keepdims=True)
+    span = pairs.max(axis=1, keepdims=True) - lo
+    paths = np.empty((n_pairs, 2 * window, 2))
+    with np.errstate(invalid="ignore"):
+        np.divide(pairs - lo, span, out=paths[..., 1])
+    # a constant pair is geometrically a flat line; keep it interior to
+    # the unit square
+    paths[span[:, 0] == 0, :, 1] = 0.5
+    # every window is the left of one pair and the right of another, so
+    # each window's time axis is computed once
+    days = sliding_window_view(series.day_offsets(), window)  # (T - W + 1, W) view
+    elapsed = days - days[:, :1]
+    t = elapsed / elapsed[:, -1:]
+    paths[:, :window, 0] = t[:n_pairs]
+    paths[:, window:, 0] = t[window:]
+    return series.dates()[window : window + n_pairs], paths[:, :window], paths[:, window:]
 
 
 def read_series_csv(path, metric: str = "ctr") -> TimeSeries:

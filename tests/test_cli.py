@@ -238,6 +238,56 @@ class TestEvaluateAndSweep:
         assert lines[0].startswith("window,threshold_k,depth,precision")
 
 
+# one flag per method that the method does not read
+IGNORED_FLAG = {
+    "signature": ["--short-window", "5"],
+    "ma_crossover": ["--k", "9"],
+    "cusum": ["--k", "9", "--depth", "7", "--merge-gap", "3", "--feature-mode", "log"],
+    "rolling_regression": ["--depth", "7"],
+}
+
+
+@pytest.mark.parametrize("method", sorted(IGNORED_FLAG))
+def test_detect_rejects_flags_the_method_ignores(tmp_path, capsys, method):
+    csv_path, _ = gen_fixture(tmp_path, extra=("--noise-cv", "0.1"))
+    out = tmp_path / "r.json"
+    assert run(["detect", str(csv_path), "--method", method, "--out", str(out)]) == 0
+    code = run(["detect", str(csv_path), "--method", method, *IGNORED_FLAG[method]])
+    assert code == 2
+    assert "is not read by --method " + method in capsys.readouterr().err
+
+
+EVAL_IGNORED_FLAG = {
+    "signature": ["--alpha", "0.1"],  # scoring uses no trend test
+    "ma_crossover": ["--window", "10"],
+    "cusum": ["--short-window", "3"],
+    "rolling_regression": ["--reference-k", "1.0"],
+}
+
+
+@pytest.mark.parametrize("method", sorted(EVAL_IGNORED_FLAG))
+def test_evaluate_rejects_flags_the_method_ignores(capsys, method):
+    argv = ["evaluate", "--pattern", "sharp_drop", "--n", "2", "--duration", "60"]
+    assert run(argv + ["--method", method, *EVAL_IGNORED_FLAG[method]]) == 2
+    assert "is not read by --method " + method in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, params",
+    [
+        ("signature", {"window": 14, "depth": 3, "threshold_k": 2.0, "feature_mode": "full"}),
+        ("ma_crossover", {"short_window": 7, "long_window": 28}),
+        ("cusum", {"reference_k": 0.5, "decision_h": 5.0}),
+        ("rolling_regression", {"window": 14, "alpha": 0.05}),
+    ],
+)
+def test_evaluate_default_params(tmp_path, method, params):
+    out = tmp_path / "m.json"
+    argv = ["evaluate", "--pattern", "sharp_drop", "--n", "2", "--duration", "60"]
+    assert run(argv + ["--method", method, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"] == params
+
+
 def test_unknown_method_choices_guard():
     with pytest.raises(SystemExit) as err:
         main(["evaluate", "--pattern", "sharp_drop", "--method", "nope"])

@@ -12,8 +12,9 @@ from sigfatigue.detector import (
     ols_slope_test,
     segment_series,
 )
+from sigfatigue import sigcore as sc
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
-from sigfatigue.windowing import SeriesPoint, TimeSeries
+from sigfatigue.windowing import SeriesPoint, TimeSeries, pair_paths
 
 from conftest import START, series_from_ctr, sharp_drop_ctrs
 
@@ -79,6 +80,95 @@ class TestDistanceSeries:
         log = distance_series(sharp_series, DetectorConfig(window=14, feature_mode="log"))
         assert len(full) == len(log)
         assert max(p.distance for p in log) > 0
+
+
+def oracle_distances(series, window, depth, feature_mode):
+    """Pair distances from the TensorSeq algebra, one window at a time.
+
+    Each pair is min-max scaled from its points, each window's time axis
+    is its elapsed days, and each closed loop is folded segment by segment
+    with ``chen_concat``; nothing is shared with the batched kernel.
+    """
+    pts = series.points
+    out = []
+    for i in range(len(pts) - 2 * window + 1):
+        pair = pts[i : i + 2 * window]
+        values = np.array([p.metric(series.metric) for p in pair])
+        lo, hi = values.min(), values.max()
+        y = np.full(len(pair), 0.5) if hi == lo else (values - lo) / (hi - lo)
+        sigs = []
+        for half in (slice(0, window), slice(window, 2 * window)):
+            days = np.array([(p.date - pair[half][0].date).days for p in pair[half]], float)
+            loop = np.vstack([[0.0, 0.0], np.column_stack([days / days[-1], y[half]]), [1.0, 0.0]])
+            sig = sc.identity(2, depth)
+            for a, b in zip(loop[:-1], loop[1:]):
+                sig = sc.chen_concat(sig, sc.segment_signature(b - a, depth))
+            sigs.append(sc.log_signature(sig) if feature_mode == "log" else sig)
+        out.append((pair[window].date, sc.sig_distance(*sigs)))
+    return out
+
+
+def walk_series(kind, n=40, seed=0):
+    """A random-walk CTR series: on consecutive days, with calendar gaps,
+    or with a flat stretch whose pairs are constant."""
+    rng = np.random.default_rng(seed)
+    ctrs = np.clip(0.02 + np.cumsum(rng.normal(0, 0.002, n)), 0.001, 0.2)
+    if kind == "flat":
+        ctrs[:20] = 0.02
+    steps = rng.integers(1, 5, n) if kind == "gapped" else np.ones(n, dtype=int)
+    offsets = np.cumsum(steps) - steps[0]
+    pts = [
+        SeriesPoint(date=START + dt.timedelta(days=int(o)), impressions=50_000, clicks=round(50_000 * c))
+        for o, c in zip(offsets, ctrs)
+    ]
+    return TimeSeries(points=tuple(pts))
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize("feature_mode", ["full", "log"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("window", [2, 7, 14])
+    @pytest.mark.parametrize("kind", ["plain", "gapped", "flat"])
+    def test_distances_match_per_window_oracle(self, kind, window, depth, feature_mode):
+        series = walk_series(kind, seed=window * 10 + depth)
+        cfg = DetectorConfig(window=window, depth=depth, feature_mode=feature_mode)
+        points = distance_series(series, cfg)
+        oracle = oracle_distances(series, window, depth, feature_mode)
+        assert [p.boundary_date for p in points] == [d for d, _ in oracle]
+        np.testing.assert_allclose(
+            [p.distance for p in points], [v for _, v in oracle], rtol=0, atol=1e-12
+        )
+
+    def test_constant_pairs_have_zero_distance(self):
+        points = distance_series(walk_series("flat"), DetectorConfig(window=7))
+        assert all(p.distance == 0.0 for p in points[:7])
+        assert points[7].distance > 0.0
+
+    @pytest.mark.parametrize("feature_mode", ["full", "log"])
+    def test_one_pair_when_series_is_two_windows(self, feature_mode):
+        series = walk_series("gapped", n=28, seed=3)
+        points = distance_series(series, DetectorConfig(window=14, feature_mode=feature_mode))
+        (date, dist), = oracle_distances(series, 14, 3, feature_mode)
+        assert len(points) == 1 and points[0].boundary_date == date
+        assert points[0].distance == pytest.approx(dist, rel=0, abs=1e-12)
+
+    def test_too_short_message(self):
+        with pytest.raises(
+            InsufficientDataError,
+            match=r"^series has 27 observations but window=14 requires at least 28$",
+        ):
+            distance_series(walk_series("plain", n=27), DetectorConfig(window=14))
+
+    def test_window_checked_before_length(self):
+        with pytest.raises(InvalidInputError, match=r"^window must be >= 2, got 1$"):
+            pair_paths(walk_series("plain", n=1), 1)
+
+    def test_builds_no_tensorseq(self, monkeypatch, sharp_series):
+        def refuse(self):
+            raise AssertionError("a TensorSeq was built")
+
+        monkeypatch.setattr(sc.TensorSeq, "__post_init__", refuse)
+        distance_series(sharp_series, DetectorConfig(feature_mode="log"))
 
 
 class TestDetect:

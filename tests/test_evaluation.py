@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigfatigue import detector
+from sigfatigue.detector import DetectorConfig, detect
 from sigfatigue.errors import InvalidInputError
 from sigfatigue.evaluation import (
     MatchPolicy,
@@ -17,7 +19,7 @@ from sigfatigue.evaluation import (
     score,
     sensitivity_report,
 )
-from sigfatigue.synth import generate_batch
+from sigfatigue.synth import PATTERN_KINDS, generate_batch
 
 
 D = dt.date
@@ -172,6 +174,21 @@ class TestHarness:
         ):
             _, pooled = evaluate_corpus(corpus, make_method(name, **params), n_boot=0)
             assert pooled.n_true == 4
+
+    def test_signature_method_never_segments(self, monkeypatch):
+        corpus = generate_batch(
+            list(PATTERN_KINDS), 1, master_seed=3000, overrides={"duration_days": 120}
+        )
+        for cfg in (DetectorConfig(merge_gap=0), DetectorConfig(merge_gap=0, feature_mode="log")):
+            expected = evaluate_corpus(
+                corpus, lambda s, cfg=cfg: [c.date for c in detect(s, cfg).change_points], n_boot=20
+            )
+            calls = []
+            monkeypatch.setattr(detector, "segment_series", lambda *a, **k: calls.append(a))
+            method = make_method("signature", feature_mode=cfg.feature_mode)
+            assert evaluate_corpus(corpus, method, n_boot=20) == expected
+            monkeypatch.undo()
+            assert calls == []
 
     def test_parity_split(self):
         corpus = list(range(9))

@@ -169,6 +169,48 @@ class TestLogSignature:
             sc.tensor_exp(sc.segment_signature((1.0, 0.0), 2))
 
 
+def chen_fold(pts, depth):
+    sig = sc.identity(pts.shape[1], depth)
+    for a, b in zip(pts[:-1], pts[1:]):
+        sig = sc.chen_concat(sig, sc.segment_signature(b - a, depth))
+    return sig
+
+
+class TestBatchSignature:
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_match_chen_fold(self, dim, depth, log):
+        rng = np.random.default_rng(dim * 10 + depth)
+        paths = rng.normal(size=(5, 7, dim))
+        rows = sc.batch_signature(paths, depth, log=log)
+        assert rows.shape == (5, sc.flat_length(dim, depth))
+        for row, pts in zip(rows, paths):
+            sig = chen_fold(pts, depth)
+            expected = sc.flatten(sc.log_signature(sig) if log else sig)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_blocked_equals_unblocked(self, monkeypatch, log):
+        paths = np.random.default_rng(31).random((3 * sc.BLOCK + 5, 9, 2))
+        blocked = sc.batch_signature(paths, 4, log=log)
+        monkeypatch.setattr(sc, "BLOCK", len(paths))
+        unblocked = sc.batch_signature(paths, 4, log=log)
+        assert blocked.tobytes() == unblocked.tobytes()
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInputError):
+            sc.batch_signature(np.zeros((2, 3, 2)), 0)
+        with pytest.raises(InvalidInputError):
+            sc.batch_signature(np.zeros((2, 1, 2)), 2)
+        with pytest.raises(InvalidInputError):
+            sc.batch_signature(np.zeros((3, 2)), 2)
+        paths = np.zeros((sc.BLOCK + 2, 3, 2))
+        paths[-1, 1, 0] = np.inf
+        with pytest.raises(InvalidInputError):
+            sc.batch_signature(paths, 2)
+
+
 class TestFlattenAndDistance:
     @pytest.mark.parametrize("depth,expected", [(1, 2), (2, 6), (3, 14)])
     def test_flat_length(self, depth, expected):

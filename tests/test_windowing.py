@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from sigfatigue.errors import CsvFormatError, InsufficientDataError, InvalidInputError
 from sigfatigue.windowing import (
-    NormalizedPath,
     SeriesPoint,
     TimeSeries,
-    normalize_window,
-    normalize_window_pair,
+    pair_paths,
     read_series_csv,
-    window_pairs,
     write_series_csv,
 )
 
@@ -80,146 +77,148 @@ class TestTimeSeries:
         assert len(pts) == 3
 
 
+def make_series(values, dates=None):
+    return TimeSeries(points=tuple(make_points(values, dates)))
+
+
+def cost_series(costs, dates=None):
+    dates = dates or [START + dt.timedelta(days=i) for i in range(len(costs))]
+    points = [
+        SeriesPoint(date=d, impressions=100, clicks=5, cost=c) for d, c in zip(dates, costs)
+    ]
+    return TimeSeries(points=tuple(points), metric="cost")
+
+
 class TestWindowPairs:
     @pytest.mark.parametrize("total,window,expected", [(30, 14, 3), (28, 14, 1), (120, 14, 93)])
     def test_pair_count(self, total, window, expected):
         series = series_from_ctr([0.01] * total)
-        assert len(window_pairs(series, window)) == expected
+        dates, left, right = pair_paths(series, window)
+        assert len(dates) == expected
+        assert left.shape == right.shape == (expected, window, 2)
 
     def test_too_short(self):
         series = series_from_ctr([0.01] * 27)
         with pytest.raises(InsufficientDataError, match="28"):
-            window_pairs(series, 14)
+            pair_paths(series, 14)
 
     def test_window_below_two(self):
         series = series_from_ctr([0.01] * 30)
-        with pytest.raises(InvalidInputError):
-            window_pairs(series, 1)
+        with pytest.raises(InvalidInputError, match="window must be >= 2"):
+            pair_paths(series, 1)
 
     def test_boundary_is_first_date_of_right_window(self):
-        series = series_from_ctr([0.01] * 30)
-        pairs = window_pairs(series, 14)
-        assert pairs[0].boundary_date == START + dt.timedelta(days=14)
-        assert pairs[0].right[0].date == pairs[0].boundary_date
-        assert len(pairs[0].left) == len(pairs[0].right) == 14
+        dates = [START + dt.timedelta(days=3 * i + i % 3) for i in range(30)]
+        series = make_series([0.01] * 30, dates)
+        boundaries, _, _ = pair_paths(series, 14)
+        assert boundaries[0] == dates[14]
+        assert boundaries == dates[14:17]
 
     def test_windows_are_adjacent_and_disjoint(self):
-        series = series_from_ctr([0.01] * 40)
-        for pair in window_pairs(series, 10):
-            assert pair.left[-1].date < pair.right[0].date
+        values = np.random.default_rng(4).permutation(np.arange(100, 140)) / 10_000
+        series = make_series(values)
+        _, left, right = pair_paths(series, 10)
+        for i in range(len(left)):
+            # undo the pair's shared min-max scale to recover the observations
+            pair = values[i : i + 20]
+            lo, hi = pair.min(), pair.max()
+            np.testing.assert_allclose(lo + left[i, :, 1] * (hi - lo), pair[:10], atol=1e-15)
+            np.testing.assert_allclose(lo + right[i, :, 1] * (hi - lo), pair[10:], atol=1e-15)
 
 
 class TestNormalizeWindow:
     def test_linear_ramp(self):
-        path = normalize_window(make_points([0.01, 0.02, 0.03]))
-        np.testing.assert_allclose(path.points, [[0, 0], [0.5, 0.5], [1, 1]], atol=1e-15)
+        _, left, right = pair_paths(make_series([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]), 3)
+        np.testing.assert_allclose(left[0], [[0, 0], [0.5, 0.2], [1, 0.4]], atol=1e-15)
+        np.testing.assert_allclose(right[0], [[0, 0.6], [0.5, 0.8], [1, 1]], atol=1e-15)
 
     def test_constant_window_maps_to_half(self):
-        path = normalize_window(make_points([0.02] * 5))
-        np.testing.assert_array_equal(path.points[:, 1], [0.5] * 5)
+        _, left, right = pair_paths(make_series([0.02] * 12), 3)
+        assert left.shape[0] == 7
+        assert np.all(left[:, :, 1] == 0.5) and np.all(right[:, :, 1] == 0.5)
 
     def test_calendar_gap_preserved(self):
-        dates = [START, START + dt.timedelta(days=1), START + dt.timedelta(days=4)]
-        path = normalize_window(make_points([0.03, 0.02, 0.01], dates))
-        np.testing.assert_allclose(path.points[:, 0], [0, 0.25, 1])
-        np.testing.assert_allclose(path.points[:, 1], [1, 0.5, 0])
+        offsets = [0, 1, 4, 10, 12, 14]
+        dates = [START + dt.timedelta(days=d) for d in offsets]
+        _, left, right = pair_paths(make_series([0.03, 0.02, 0.01, 0.01, 0.02, 0.03], dates), 3)
+        np.testing.assert_allclose(left[0, :, 0], [0, 0.25, 1])
+        np.testing.assert_allclose(left[0, :, 1], [1, 0.5, 0])
+        np.testing.assert_allclose(right[0, :, 0], [0, 0.5, 1])
+        np.testing.assert_allclose(right[0, :, 1], [0, 0.5, 1])
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            normalize_window(make_points([0.01]))
+            pair_paths(make_series([0.01, 0.02, 0.03]), 2)
 
     def test_output_in_unit_square(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            vals = rng.uniform(0.001, 0.2, size=rng.integers(2, 30))
-            path = normalize_window(make_points(vals))
-            assert path.points.min() >= 0.0 and path.points.max() <= 1.0
+            window = int(rng.integers(2, 15))
+            n = 2 * window + int(rng.integers(0, 10))
+            dates = [START + dt.timedelta(days=int(d)) for d in np.cumsum(rng.integers(1, 4, n))]
+            _, left, right = pair_paths(make_series(rng.uniform(0.001, 0.2, n), dates), window)
+            for path in (left, right):
+                assert path.min() >= 0.0 and path.max() <= 1.0
+                assert np.all(path[:, 0, 0] == 0.0) and np.all(path[:, -1, 0] == 1.0)
 
 
 class TestNormalizePair:
     def test_shared_scale_keeps_level_difference(self):
-        left = make_points([0.02] * 5)
-        right = make_points([0.01] * 5, [START + dt.timedelta(days=5 + i) for i in range(5)])
-        pl, pr = normalize_window_pair(left, right)
-        assert np.all(pl.points[:, 1] == 1.0)
-        assert np.all(pr.points[:, 1] == 0.0)
+        _, left, right = pair_paths(make_series([0.02] * 5 + [0.01] * 5), 5)
+        assert np.all(left[0, :, 1] == 1.0)
+        assert np.all(right[0, :, 1] == 0.0)
 
     def test_constant_pair_maps_to_half(self):
-        left = make_points([0.02] * 5)
-        right = make_points([0.02] * 5, [START + dt.timedelta(days=5 + i) for i in range(5)])
-        pl, pr = normalize_window_pair(left, right)
-        assert np.all(pl.points[:, 1] == 0.5)
-        assert np.all(pr.points[:, 1] == 0.5)
+        # only the pairs that lie wholly inside the flat stretch are constant
+        _, left, right = pair_paths(make_series([0.02] * 12 + [0.01] * 4), 5)
+        flat = (left[:, :, 1] == 0.5).all(axis=1) & (right[:, :, 1] == 0.5).all(axis=1)
+        np.testing.assert_array_equal(flat, [True, True, True] + [False] * 4)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    st.lists(st.floats(0.0001220703125, 1.0, allow_nan=False, width=32), min_size=2, max_size=20),
+    st.lists(st.floats(0.0001220703125, 1.0, allow_nan=False, width=32), min_size=4, max_size=20),
     st.floats(0.001953125, 1024.0, allow_nan=False, width=32),
 )
 def test_scale_invariance(values, factor):
-    def cost_points(vals):
-        return [
-            SeriesPoint(date=START + dt.timedelta(days=i), impressions=100, clicks=5, cost=v)
-            for i, v in enumerate(vals)
-        ]
-
-    base = normalize_window(cost_points(values), metric="cost")
-    scaled = normalize_window(cost_points([v * factor for v in values]), metric="cost")
-    np.testing.assert_allclose(scaled.points, base.points, atol=1e-9)
+    window = len(values) // 2
+    _, base_l, base_r = pair_paths(cost_series(values), window)
+    _, scaled_l, scaled_r = pair_paths(cost_series([v * factor for v in values]), window)
+    np.testing.assert_allclose(scaled_l, base_l, atol=1e-9)
+    np.testing.assert_allclose(scaled_r, base_r, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_time_shift_invariance(shift_days):
-    values = [0.01, 0.013, 0.011, 0.02, 0.016]
-    base = normalize_window(make_points(values))
+    values = [0.01, 0.013, 0.011, 0.02, 0.016, 0.012]
+    _, base_l, base_r = pair_paths(make_series(values), 3)
     shifted_dates = [
         START + dt.timedelta(days=shift_days + i) for i in range(len(values))
     ]
-    shifted = normalize_window(make_points(values, shifted_dates))
-    np.testing.assert_array_equal(base.points, shifted.points)
+    _, shifted_l, shifted_r = pair_paths(make_series(values, shifted_dates), 3)
+    np.testing.assert_array_equal(base_l, shifted_l)
+    np.testing.assert_array_equal(base_r, shifted_r)
 
 
 @pytest.mark.parametrize("stretch", [2, 3, 7])
 def test_time_stretch_invariance(stretch):
-    values = [0.01, 0.013, 0.011, 0.02, 0.016]
-    base = normalize_window(make_points(values))
+    values = [0.01, 0.013, 0.011, 0.02, 0.016, 0.012]
+    _, base_l, base_r = pair_paths(make_series(values), 3)
     stretched_dates = [START + dt.timedelta(days=stretch * i) for i in range(len(values))]
-    stretched = normalize_window(make_points(values, stretched_dates))
-    np.testing.assert_allclose(stretched.points, base.points, atol=1e-15)
+    _, stretched_l, stretched_r = pair_paths(make_series(values, stretched_dates), 3)
+    np.testing.assert_allclose(stretched_l, base_l, atol=1e-15)
+    np.testing.assert_allclose(stretched_r, base_r, atol=1e-15)
 
 
 def test_metric_scale_invariance_on_cost_column():
     rng = np.random.default_rng(8)
     costs = rng.uniform(5, 50, 12)
+    _, base_l, base_r = pair_paths(cost_series(costs), 6)
     for factor in (2.0, 0.5, 3.0):
-        pts = [
-            SeriesPoint(date=START + dt.timedelta(days=i), impressions=100, clicks=5, cost=c)
-            for i, c in enumerate(costs)
-        ]
-        scaled = [
-            SeriesPoint(date=p.date, impressions=100, clicks=5, cost=p.cost * factor)
-            for p in pts
-        ]
-        a = normalize_window(pts, metric="cost")
-        b = normalize_window(scaled, metric="cost")
-        np.testing.assert_allclose(a.points, b.points, atol=1e-12)
-
-
-class TestNormalizedPath:
-    def test_rejects_out_of_square(self):
-        with pytest.raises(InvalidInputError):
-            NormalizedPath(points=np.array([[0.0, 0.0], [1.0, 1.5]]))
-
-    def test_rejects_non_increasing_time(self):
-        with pytest.raises(InvalidInputError):
-            NormalizedPath(points=np.array([[0.0, 0.0], [0.0, 1.0]]))
-
-    def test_immutable(self):
-        path = NormalizedPath(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            path.points[0, 0] = 0.5
+        _, scaled_l, scaled_r = pair_paths(cost_series(costs * factor), 6)
+        np.testing.assert_allclose(scaled_l, base_l, atol=1e-12)
+        np.testing.assert_allclose(scaled_r, base_r, atol=1e-12)
 
 
 class TestCsvIO:
