@@ -160,11 +160,31 @@ def _add_method_flags(parser) -> None:
     parser.add_argument("--decision-h", type=float, default=None)
 
 
-def _add_pattern_flags(parser) -> None:
+# Pattern-spec flags and the PatternSpec field each one sets.
+SPEC_FLAGS = {
+    "baseline_ctr": "baseline_ctr",
+    "weekly_decay": "weekly_decay_rate",
+    "noise_cv": "noise_cv",
+    "duration": "duration_days",
+    "impressions_mean": "impressions_mean",
+    "gap_fraction": "gap_fraction",
+    "drop_factor": "drop_factor",
+    "n_stages": "n_stages",
+    "stage_drop": "stage_drop",
+    "base_kind": "base_kind",
+    "change_days": "change_days",
+    "start_date": "start_date",
+}
+
+
+def _add_pattern_flags(parser, corpus: bool = False) -> None:
+    """Pattern and spec flags; with ``corpus``, ``--corpus DIR`` replaces them."""
     group = parser.add_mutually_exclusive_group(required=True)
+    if corpus:
+        group.add_argument("--corpus", help="directory of generated series")
     group.add_argument("--pattern", choices=PATTERN_KINDS, help="pattern kind")
     group.add_argument("--all", action="store_true", help="every pattern kind")
-    parser.add_argument("--n", type=int, default=1, help="series per pattern")
+    parser.add_argument("--n", type=int, default=None, help="series per pattern (default 1)")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--baseline-ctr", type=float, default=None)
     parser.add_argument("--weekly-decay", type=float, default=None)
@@ -184,34 +204,42 @@ def _add_pattern_flags(parser) -> None:
 
 
 def _pattern_overrides(args) -> dict:
-    overrides = {}
-    for attr, field in (
-        ("baseline_ctr", "baseline_ctr"),
-        ("weekly_decay", "weekly_decay_rate"),
-        ("noise_cv", "noise_cv"),
-        ("duration", "duration_days"),
-        ("impressions_mean", "impressions_mean"),
-        ("gap_fraction", "gap_fraction"),
-        ("drop_factor", "drop_factor"),
-        ("n_stages", "n_stages"),
-        ("stage_drop", "stage_drop"),
-        ("base_kind", "base_kind"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[field] = value
-    if args.change_days is not None:
+    overrides = {
+        field: getattr(args, dest)
+        for dest, field in SPEC_FLAGS.items()
+        if getattr(args, dest) is not None
+    }
+    # two flags arrive as text
+    if "change_days" in overrides:
         overrides["change_days"] = tuple(
-            int(d) for d in str(args.change_days).split(",") if d.strip()
+            int(d) for d in str(overrides["change_days"]).split(",") if d.strip()
         )
-    if args.start_date is not None:
-        overrides["start_date"] = dt.date.fromisoformat(args.start_date)
+    if "start_date" in overrides:
+        overrides["start_date"] = dt.date.fromisoformat(overrides["start_date"])
     return overrides
 
 
-def _build_corpus(args) -> list:
-    kinds = list(PATTERN_KINDS) if args.all else [args.pattern]
-    return generate_batch(kinds, args.n, args.seed, overrides=_pattern_overrides(args))
+def _series_per_pattern(args) -> int:
+    return 1 if args.n is None else args.n
+
+
+def _corpus(args) -> list:
+    """The series in ``--corpus DIR``, or the corpus the spec flags describe.
+
+    A directory is read as it is, so a spec flag given with it exits 2;
+    ``--seed`` still seeds the bootstrap.
+    """
+    if args.corpus is None:
+        kinds = list(PATTERN_KINDS) if args.all else [args.pattern]
+        return generate_batch(
+            kinds, _series_per_pattern(args), args.seed, overrides=_pattern_overrides(args)
+        )
+    for dest in ("n", *SPEC_FLAGS):
+        if getattr(args, dest) is not None:
+            raise ConfigurationError(
+                f"--{dest.replace('_', '-')} does not apply to --corpus"
+            )
+    return _load_corpus(args.corpus)
 
 
 def _load_corpus(directory: str) -> list:
@@ -242,13 +270,14 @@ def cmd_generate(args) -> int:
     overrides = _pattern_overrides(args)
     kinds = list(PATTERN_KINDS) if args.all else [args.pattern]
     written = 0
-    if args.n == 1 and not args.all:
+    n = _series_per_pattern(args)
+    if n == 1 and not args.all:
         # single fully specified series: honor the seed directly
         spec = PatternSpec(kind=args.pattern, seed=args.seed, **overrides)
         series, truth = generate(spec)
         items = [GeneratedSeries(spec=spec, series=series, truth=truth)]
     else:
-        items = generate_batch(kinds, args.n, args.seed, overrides=overrides)
+        items = generate_batch(kinds, n, args.seed, overrides=overrides)
     counters = {}
     for item in items:
         idx = counters.get(item.spec.kind, 0)
@@ -319,7 +348,7 @@ def _method_params(args) -> dict:
 
 def cmd_evaluate(args) -> int:
     _resolve_flags(args, METHOD_PARAMS[args.method].values())
-    corpus = _load_corpus(args.corpus) if args.corpus else _build_corpus(args)
+    corpus = _corpus(args)
     corpus = [
         replace(item, series=replace(item.series, metric=args.metric)) for item in corpus
     ]
@@ -349,7 +378,7 @@ def _parse_ints(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    corpus = _load_corpus(args.corpus) if args.corpus else _build_corpus(args)
+    corpus = _corpus(args)
     grid = {
         "window": _parse_ints(args.windows),
         "threshold_k": _parse_floats(args.ks),
@@ -406,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_was.set_defaults(func=cmd_wastage)
 
     p_eval = sub.add_parser("evaluate", help="score a method against ground truth")
-    p_eval.add_argument("--corpus", default=None, help="directory of generated series")
-    _add_pattern_flags(p_eval)
+    _add_pattern_flags(p_eval, corpus=True)
     _add_method_flags(p_eval)
     _add_detector_flags(p_eval)
     p_eval.add_argument("--tolerance", type=int, default=3, help="match tolerance in days")
@@ -415,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="signature metrics over a parameter grid")
-    p_sweep.add_argument("--corpus", default=None, help="directory of generated series")
-    _add_pattern_flags(p_sweep)
+    _add_pattern_flags(p_sweep, corpus=True)
     p_sweep.add_argument("--windows", default="7,14,21")
     p_sweep.add_argument("--ks", default="1.5,2.0,2.5")
     p_sweep.add_argument("--depths", default="3")

@@ -178,11 +178,12 @@ def distance_series(series: TimeSeries, cfg: DetectorConfig) -> list:
     del left, right  # the loops hold a copy; keep peak memory to one of them
     features = batch_signature(loops, cfg.depth, log=cfg.feature_mode == "log")
     diff = features[:n_pairs] - features[n_pairs:]
-    # one norm per row rounds each distance exactly as sig_distance does;
-    # a batched sum of squares would round differently
+    # one dot product per row is what np.linalg.norm computes for a real
+    # vector, so each distance rounds exactly as sig_distance does; a
+    # batched sum of squares would round differently
+    norms = np.sqrt([row @ row for row in diff])
     return [
-        DistancePoint(boundary_date=d, distance=float(np.linalg.norm(row)))
-        for d, row in zip(dates, diff)
+        DistancePoint(boundary_date=d, distance=float(v)) for d, v in zip(dates, norms)
     ]
 
 

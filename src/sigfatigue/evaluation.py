@@ -13,6 +13,10 @@ reference baselines share one harness.  Following the published
 protocol, the signature method is scored on its raw exceedance flags
 (merging disabled); merged change points are an analyst-facing report
 feature.
+
+A signature-method sweep or grid search computes each series' distances
+once per (window, depth, feature_mode) and thresholds them for every
+threshold_k and merge_gap of the grid.
 """
 
 from __future__ import annotations
@@ -145,27 +149,41 @@ def pool_scores(scores) -> EvalMetrics:
 
 
 def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) -> dict:
-    """Percentile bootstrap over series for each pooled metric."""
+    """Percentile bootstrap over series for each pooled metric.
+
+    All resamples are drawn in one call, which yields the same index
+    stream as one draw per resample, and each is pooled from per-series
+    counts exactly as ``pool_scores`` pools it: delays are whole days,
+    so their sums are exact integers.
+    """
     scores = list(scores)
     if len(scores) < 2:
         raise InvalidInputError("bootstrap needs at least 2 series")
     if not 0 < level < 1:
         raise InvalidInputError(f"level must be in (0, 1), got {level}")
     rng = np.random.default_rng(seed)
-    samples = {"precision": [], "recall": [], "f1": [], "mean_delay_days": []}
-    for _ in range(n_boot):
-        idx = rng.integers(0, len(scores), size=len(scores))
-        pooled = pool_scores([scores[i] for i in idx])
-        samples["precision"].append(pooled.precision)
-        samples["recall"].append(pooled.recall)
-        samples["f1"].append(pooled.f1)
-        samples["mean_delay_days"].append(
-            np.nan if pooled.mean_delay_days is None else pooled.mean_delay_days
-        )
+    idx = rng.integers(0, len(scores), size=(max(n_boot, 0), len(scores)))
+    counts = np.array(
+        [[s.n_detected, s.n_true, s.n_matched, len(s.delays), sum(s.delays)] for s in scores]
+    )
+    detected, true, matched, n_delays, delay_sum = counts[idx].sum(axis=1).T
+    # the same float operations, in the same order, as _metrics_from_counts
+    precision = np.divide(matched, detected, out=np.zeros(len(idx)), where=detected > 0)
+    recall = np.divide(matched, true, out=np.ones(len(idx)), where=true > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(len(idx)), where=both > 0)
+    mean_delay = np.divide(
+        delay_sum, n_delays, out=np.full(len(idx), np.nan), where=n_delays > 0
+    )
+    samples = {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "mean_delay_days": mean_delay,
+    }
     lo_q, hi_q = 100 * (1 - level) / 2, 100 * (1 + level) / 2
     out = {}
-    for name, vals in samples.items():
-        arr = np.asarray(vals, dtype=float)
+    for name, arr in samples.items():
         arr = arr[~np.isnan(arr)]
         if arr.size == 0:
             out[name] = None
@@ -177,14 +195,19 @@ def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) 
     return out
 
 
+def _signature_config(params: dict) -> DetectorConfig:
+    params = dict(params)
+    return DetectorConfig(merge_gap=params.pop("merge_gap", 0), **params)
+
+
+def _flag_dates(distances, cfg: DetectorConfig) -> list:
+    _, _, _, change_points = flag_change_points(distances, cfg)
+    return [c.date for c in change_points]
+
+
 def _signature_method(**params):
-    cfg = DetectorConfig(merge_gap=params.pop("merge_gap", 0), **params)
-
-    def run(series):
-        _, _, _, change_points = flag_change_points(distance_series(series, cfg), cfg)
-        return [c.date for c in change_points]
-
-    return run
+    cfg = _signature_config(params)
+    return lambda series: _flag_dates(distance_series(series, cfg), cfg)
 
 
 def _ma_method(**params):
@@ -263,12 +286,37 @@ def _grid_rows(method: str, grid: dict, corpus, policy, n_boot: int, seed: int) 
     corpus = list(corpus)
     if not corpus:
         raise InvalidInputError("corpus must be non-empty")
-    rows = []
-    for params in _grid_cells(grid):
-        run = make_method(method, **params)
+    cells = _grid_cells(grid)
+    if method == "signature":
+        runs = _shared_distance_runs(cells, corpus)
+    else:
+        runs = ((i, make_method(method, **params)) for i, params in enumerate(cells))
+    rows = [None] * len(cells)
+    for i, run in runs:
         _, pooled = evaluate_corpus(corpus, run, policy, n_boot=n_boot, seed=seed)
-        rows.append((params, pooled))
+        rows[i] = (cells[i], pooled)
     return rows
+
+
+def _shared_distance_runs(cells: list, corpus: list):
+    """Yield (cell index, method) for signature-method cells, group by group.
+
+    ``distance_series`` reads only window, depth and feature_mode, so the
+    cells that differ in nothing else (threshold_k, merge_gap) share one
+    distance series per corpus series.  Each group's distances are
+    dropped before the next group's are computed.
+    """
+    configs = [_signature_config(params) for params in cells]
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.window, cfg.depth, cfg.feature_mode), []).append(i)
+    for indices in groups.values():
+        first = configs[indices[0]]
+        distances = {id(item.series): distance_series(item.series, first) for item in corpus}
+        # the caller runs each method before it asks for the next one
+        for i in indices:
+            yield i, lambda series, cfg=configs[i]: _flag_dates(distances[id(series)], cfg)
+        del distances
 
 
 def grid_search(

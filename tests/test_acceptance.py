@@ -251,7 +251,7 @@ def test_c12_cli_determinism(tmp_path):
         ])
         eval_out = tmp_path / f"eval_{tag}.json"
         cli_main([
-            "evaluate", "--corpus", str(gen_dir), "--pattern", "sharp_drop",
+            "evaluate", "--corpus", str(gen_dir),
             "--method", "signature", "--k", "1.5", "--out", str(eval_out),
         ])
         blob = b"".join(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sigfatigue
-from sigfatigue.cli import _dump_json, build_parser, main
+from sigfatigue.cli import SPEC_FLAGS, _dump_json, build_parser, main
 from sigfatigue.evaluation import METHODS
 
 
@@ -206,11 +206,54 @@ class TestEvaluateAndSweep:
         ])
         out = tmp_path / "m.json"
         code = run([
-            "evaluate", "--corpus", str(corpus_dir), "--pattern", "sharp_drop",
+            "evaluate", "--corpus", str(corpus_dir),
             "--method", "signature", "--k", "1.5", "--out", str(out),
         ])
         assert code == 0
         assert json.loads(out.read_text())["n_series"] == 3
+
+    @pytest.fixture
+    def corpus_dir(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert run([
+            "generate", "--pattern", "sharp_drop", "--n", "2", "--seed", "4",
+            "--duration", "90", "--out", str(out),
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_corpus_alone_runs(self, tmp_path, corpus_dir, command):
+        out = tmp_path / "o.json"
+        argv = [command, "--corpus", str(corpus_dir), "--out", str(out)]
+        assert run(argv) == 0
+        assert run(argv[:-2] + ["--seed", "3", "--out", str(tmp_path / "s.json")]) == 0
+        if command == "evaluate":
+            assert json.loads(out.read_text())["n_series"] == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("extra", [["--pattern", "sharp_drop"], ["--all"]])
+    def test_corpus_excludes_pattern_and_all(self, corpus_dir, command, extra):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--corpus", str(corpus_dir), *extra])
+        assert err.value.code == 2
+
+    SPEC_VALUES = {
+        "n": "2", "baseline_ctr": "0.02", "weekly_decay": "0.01", "noise_cv": "0.1",
+        "duration": "90", "impressions_mean": "1000", "gap_fraction": "0.1",
+        "drop_factor": "0.5", "n_stages": "2", "stage_drop": "0.2",
+        "base_kind": "sharp_drop", "change_days": "30", "start_date": "2024-01-01",
+    }
+
+    def test_spec_values_cover_every_spec_flag(self):
+        assert set(self.SPEC_VALUES) == {"n", *SPEC_FLAGS}
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("dest", sorted(SPEC_VALUES))
+    def test_corpus_rejects_spec_flags(self, capsys, corpus_dir, command, dest):
+        flag = "--" + dest.replace("_", "-")
+        argv = [command, "--corpus", str(corpus_dir), flag, self.SPEC_VALUES[dest]]
+        assert run(argv) == 2
+        assert f"{flag} does not apply to --corpus" in capsys.readouterr().err
 
     def test_evaluate_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

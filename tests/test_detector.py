@@ -12,7 +12,7 @@ from sigfatigue.detector import (
     ols_slope_test,
     segment_series,
 )
-from sigfatigue import sigcore as sc
+from sigfatigue import detector, sigcore as sc
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
 from sigfatigue.windowing import SeriesPoint, TimeSeries, pair_paths
 
@@ -169,6 +169,30 @@ class TestKernelAgainstOracle:
 
         monkeypatch.setattr(sc.TensorSeq, "__post_init__", refuse)
         distance_series(sharp_series, DetectorConfig(feature_mode="log"))
+
+    @pytest.mark.parametrize("feature_mode", ["full", "log"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("window", [2, 7, 14, 21])
+    @pytest.mark.parametrize("kind", ["plain", "gapped", "flat"])
+    def test_distance_is_bit_equal_to_row_norm(
+        self, monkeypatch, kind, window, depth, feature_mode
+    ):
+        features = []
+
+        def recording(paths, depth, log=False):
+            features.append(sc.batch_signature(paths, depth, log=log))
+            return features[-1]
+
+        monkeypatch.setattr(detector, "batch_signature", recording)
+        series = walk_series(kind, n=60, seed=window * 10 + depth)
+        points = distance_series(
+            series, DetectorConfig(window=window, depth=depth, feature_mode=feature_mode)
+        )
+        (feats,) = features
+        left, right = feats[: len(points)], feats[len(points):]
+        assert [p.distance for p in points] == [
+            float(np.linalg.norm(a - b)) for a, b in zip(left, right)
+        ]
 
 
 class TestDetect:

@@ -1,10 +1,11 @@
 import datetime as dt
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfatigue import detector
+from sigfatigue import detector, evaluation
 from sigfatigue.detector import DetectorConfig, detect
 from sigfatigue.errors import InvalidInputError
 from sigfatigue.evaluation import (
@@ -115,6 +116,62 @@ def test_score_shift_invariance_property(detected, truth, shift):
     assert base.n_matched == moved.n_matched
 
 
+def loop_bootstrap_ci(scores, n_boot, level, seed):
+    """The bootstrap as one draw and one ``pool_scores`` call per resample."""
+    rng = np.random.default_rng(seed)
+    samples = {"precision": [], "recall": [], "f1": [], "mean_delay_days": []}
+    for _ in range(n_boot):
+        idx = rng.integers(0, len(scores), size=len(scores))
+        pooled = pool_scores([scores[i] for i in idx])
+        samples["precision"].append(pooled.precision)
+        samples["recall"].append(pooled.recall)
+        samples["f1"].append(pooled.f1)
+        samples["mean_delay_days"].append(
+            np.nan if pooled.mean_delay_days is None else pooled.mean_delay_days
+        )
+    lo_q, hi_q = 100 * (1 - level) / 2, 100 * (1 + level) / 2
+    out = {}
+    for name, vals in samples.items():
+        arr = np.asarray(vals, dtype=float)
+        arr = arr[~np.isnan(arr)]
+        out[name] = None if arr.size == 0 else {
+            "lo": float(np.percentile(arr, lo_q)),
+            "hi": float(np.percentile(arr, hi_q)),
+        }
+    return out
+
+
+def _random_scores(seed, n):
+    rng = np.random.default_rng(seed)
+    return [
+        score(
+            days(*(int(v) for v in rng.integers(0, 60, size=rng.integers(0, 6)))),
+            days(*(int(v) for v in rng.integers(0, 60, size=rng.integers(0, 3)))),
+            MatchPolicy(int(rng.integers(0, 8))),
+        )
+        for _ in range(n)
+    ]
+
+
+BOOTSTRAP_CASES = {
+    # no detections anywhere: precision 0, no delays
+    "no_detections": [score([], days(10)), score([], days(20, 30))],
+    # no truth anywhere: recall 1, no delays
+    "no_truth": [score(days(5), []), score(days(6, 9), [])],
+    # detections and truth that never match: mean delay None in every resample
+    "no_delays": [score(days(10), days(60)), score(days(1, 2), days(40))],
+    # delays in some series only, so some resamples have none
+    "mixed": [
+        score(days(59), days(60)),
+        score([], days(20)),
+        score(days(5), []),
+        score(days(31, 33), days(30, 34)),
+    ],
+    "random_small": _random_scores(1, 3),
+    "random_large": _random_scores(2, 37),
+}
+
+
 class TestPoolAndBootstrap:
     def test_pooling_counts(self):
         scores = [score(days(60), days(60)), score(days(10, 60), days(60))]
@@ -142,6 +199,15 @@ class TestPoolAndBootstrap:
     def test_requires_two_series(self):
         with pytest.raises(InvalidInputError):
             bootstrap_ci([score(days(1), days(1))])
+
+    @pytest.mark.parametrize("n_boot", [0, 1, 2, 100])
+    @pytest.mark.parametrize("level", [0.9, 0.95])
+    @pytest.mark.parametrize("case", sorted(BOOTSTRAP_CASES))
+    def test_bit_equal_to_pool_scores_loop(self, case, level, n_boot):
+        scores = BOOTSTRAP_CASES[case]
+        for seed in (0, 7):
+            expected = loop_bootstrap_ci(scores, n_boot, level, seed)
+            assert bootstrap_ci(scores, n_boot=n_boot, level=level, seed=seed) == expected
 
 
 class TestHarness:
@@ -262,6 +328,58 @@ class TestGridSearch:
             corpus,
         )
         assert len(rows) == 9
+
+
+class TestDistanceReuse:
+    GRID = {
+        "window": [7, 14],
+        "threshold_k": [1.5, 2.5],
+        "depth": [2, 3],
+        "feature_mode": ["full", "log"],
+        "merge_gap": [0, 7],
+    }
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_batch(
+            list(PATTERN_KINDS), 1, master_seed=4100, overrides={"duration_days": 120}
+        )
+
+    def _cells(self, grid):
+        names = sorted(grid)
+        return [dict(zip(names, vals)) for vals in itertools.product(*(grid[n] for n in names))]
+
+    def test_default_sweep_computes_each_distance_series_once(self, monkeypatch, corpus):
+        calls = []
+
+        def counting(series, cfg):
+            calls.append((id(series), cfg.window, cfg.depth, cfg.feature_mode))
+            return detector.distance_series(series, cfg)
+
+        monkeypatch.setattr(evaluation, "distance_series", counting)
+        assert len(corpus) == 7
+        sensitivity_report(corpus, n_boot=10)
+        assert len(calls) == 21 and len(set(calls)) == 21
+
+    def test_sensitivity_rows_equal_per_cell_evaluation(self, corpus):
+        rows = sensitivity_report(corpus, grid=self.GRID, n_boot=20, seed=5)
+        expected = []
+        for cell in self._cells(self.GRID):
+            _, pooled = evaluate_corpus(
+                corpus, make_method("signature", **cell), MatchPolicy(), n_boot=20, seed=5
+            )
+            row = {k: cell[k] for k in ("window", "threshold_k", "depth")}
+            expected.append({**row, **pooled.to_dict()})
+        assert rows == expected
+
+    def test_grid_search_rows_equal_per_cell_evaluation(self, corpus):
+        grid = {**self.GRID, "alpha": [0.05, 0.1]}
+        policy = MatchPolicy(2)
+        _, _, rows = grid_search("signature", grid, corpus, policy)
+        assert rows == [
+            (cell, evaluate_corpus(corpus, make_method("signature", **cell), policy, n_boot=0)[1])
+            for cell in self._cells(grid)
+        ]
 
 
 class TestSensitivity:
