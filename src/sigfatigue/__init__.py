@@ -13,7 +13,6 @@ from .detector import (
     ChangePoint,
     ChangePointReport,
     DetectorConfig,
-    DistancePoint,
     Segment,
     classify_trend,
     detect,
@@ -63,7 +62,6 @@ from .synth import (
 )
 from .wastage import WastageReport, compute_wastage, lost_clicks, select_benchmark
 from .windowing import (
-    SeriesPoint,
     TimeSeries,
     pair_paths,
     read_series_csv,

@@ -1,8 +1,9 @@
 """Reference change point detectors for benchmarking.
 
 Deliberately simple, deterministic implementations of the classical
-techniques the signature detector is compared against.  Each returns
-the list of dates it flags on the series' analysis metric.
+techniques the signature detector is compared against.  Each reads the
+series' analysis metric as one array and returns the list of dates it
+flags.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def ma_crossover(series: TimeSeries, short_window: int = 7, long_window: int = 2
             f"series has {n} observations, need at least {long_window + 1}"
         )
     values = series.metric_values()
-    dates = series.dates()
 
     # fsum keeps equal-valued windows exactly equal, so flat stretches do
     # not produce spurious crossings from accumulated rounding
@@ -49,9 +49,9 @@ def ma_crossover(series: TimeSeries, short_window: int = 7, long_window: int = 2
         long = trailing_mean(i, long_window)
         now_above = short >= long
         if above is True and not now_above:
-            flags.append(dates[i])
+            flags.append(i)
         above = now_above
-    return flags
+    return series.dates[flags].tolist()
 
 
 def cusum(
@@ -76,7 +76,6 @@ def cusum(
         raise InsufficientDataError(f"series has {n} observations, need at least 10")
     burn_in = min(burn_in, n)
     values = series.metric_values()
-    dates = series.dates()
     if np.all(values[:burn_in] == values[0]):
         if np.all(values == values[0]):
             return []  # nothing ever deviates; no change points by definition
@@ -92,9 +91,9 @@ def cusum(
         s_hi = max(0.0, s_hi + z[i] - reference_k)
         s_lo = max(0.0, s_lo - z[i] - reference_k)
         if s_hi > decision_h or s_lo > decision_h:
-            flags.append(dates[i])
+            flags.append(i)
             s_hi = s_lo = 0.0
-    return flags
+    return series.dates[flags].tolist()
 
 
 def rolling_regression(series: TimeSeries, window: int = 7, alpha: float = 0.05) -> list:
@@ -112,7 +111,6 @@ def rolling_regression(series: TimeSeries, window: int = 7, alpha: float = 0.05)
     n = len(series)
     values = series.metric_values()
     offsets = series.day_offsets()
-    dates = series.dates()
     flags = []
     was_significant = False
     for i in range(window - 1, n):
@@ -121,6 +119,6 @@ def rolling_regression(series: TimeSeries, window: int = 7, alpha: float = 0.05)
         )
         significant = p < alpha and slope < 0
         if significant and not was_significant:
-            flags.append(dates[i])
+            flags.append(i)
         was_significant = significant
-    return flags
+    return series.dates[flags].tolist()

@@ -30,7 +30,6 @@ from .windowing import TimeSeries, pair_paths
 
 __all__ = [
     "DetectorConfig",
-    "DistancePoint",
     "ChangePoint",
     "Segment",
     "ChangePointReport",
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 FEATURE_MODES = ("full", "log")
+DISTANCE_DTYPE = np.dtype([("date", "datetime64[D]"), ("distance", float)])
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,6 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class DistancePoint:
-    boundary_date: dt.date
-    distance: float
-
-
-@dataclass(frozen=True)
 class ChangePoint:
     date: dt.date
     distance: float
@@ -119,11 +113,14 @@ class Segment:
     n_points: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChangePointReport:
+    """A detection result; ``distances`` is the array ``distance_series``
+    returns, one (date, distance) record per window pair."""
+
     config: DetectorConfig
     metric: str
-    distances: tuple
+    distances: np.ndarray
     mean_distance: float
     std_distance: float
     threshold: float
@@ -139,8 +136,11 @@ class ChangePointReport:
             "std_distance": self.std_distance,
             "threshold": self.threshold,
             "distances": [
-                {"date": d.boundary_date.isoformat(), "distance": d.distance}
-                for d in self.distances
+                {"date": d, "distance": v}
+                for d, v in zip(
+                    np.datetime_as_string(self.distances["date"]).tolist(),
+                    self.distances["distance"].tolist(),
+                )
             ],
             "change_points": [
                 {
@@ -165,8 +165,13 @@ class ChangePointReport:
         }
 
 
-def distance_series(series: TimeSeries, cfg: DetectorConfig) -> list:
-    """Signature distance at every window-pair boundary, in date order."""
+def distance_series(series: TimeSeries, cfg: DetectorConfig) -> np.ndarray:
+    """Signature distance at every window-pair boundary, in date order.
+
+    Returns a structured array with one record per pair: ``date``
+    (``datetime64[D]``, the first date of the right window) and
+    ``distance`` (float).
+    """
     dates, left, right = pair_paths(series, cfg.window)
     n_pairs, window, _ = left.shape
     # close each window path into a loop (0, 0) -> path -> (1, 0) so that
@@ -178,51 +183,52 @@ def distance_series(series: TimeSeries, cfg: DetectorConfig) -> list:
     del left, right  # the loops hold a copy; keep peak memory to one of them
     features = batch_signature(loops, cfg.depth, log=cfg.feature_mode == "log")
     diff = features[:n_pairs] - features[n_pairs:]
+    out = np.empty(n_pairs, dtype=DISTANCE_DTYPE)
+    out["date"] = dates
     # one dot product per row is what np.linalg.norm computes for a real
     # vector, so each distance rounds exactly as sig_distance does; a
     # batched sum of squares would round differently
-    norms = np.sqrt([row @ row for row in diff])
-    return [
-        DistancePoint(boundary_date=d, distance=float(v)) for d, v in zip(dates, norms)
-    ]
+    out["distance"] = np.sqrt([row @ row for row in diff])
+    return out
 
 
-def _merge_flags(flags: list, merge_gap: int) -> list:
+def _merge_flags(days, values, flagged, merge_gap: int) -> list:
     """Absorb flags into their strongest neighbour within ``merge_gap`` days.
 
-    Flags are visited in decreasing distance order (ties: earlier date);
-    a flag within merge_gap days of an already emitted change point is
-    absorbed by it.  Raising the threshold only truncates the visit
-    order, so the emitted set at a higher threshold is always a subset
-    of the emitted set at a lower one.
+    Flags (indices into ``days`` and ``values``) are visited in
+    decreasing distance order (ties: earlier date); a flag within
+    merge_gap days of an already emitted change point is absorbed by it.
+    Raising the threshold only truncates the visit order, so the emitted
+    set at a higher threshold is always a subset of the emitted set at a
+    lower one.  Returns the emitted indices in date order.
     """
     emitted = []
-    for flag in sorted(flags, key=lambda f: (-f.distance, f.boundary_date)):
-        if any(
-            abs((flag.boundary_date - e.boundary_date).days) <= merge_gap
-            for e in emitted
-        ):
-            continue
-        emitted.append(flag)
-    return sorted(emitted, key=lambda f: f.boundary_date)
+    for i in flagged[np.argsort(-values[flagged], kind="stable")].tolist():
+        if all(abs(days[i] - days[e]) > merge_gap for e in emitted):
+            emitted.append(i)
+    return sorted(emitted)
 
 
 def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
     """Threshold a distance series and merge its flags into change points.
 
-    A boundary is flagged when its distance exceeds mean + k * std of all
+    ``distances`` is the array ``distance_series`` returns.  A boundary
+    is flagged when its distance exceeds mean + k * std of all
     distances; flags are merged within ``cfg.effective_merge_gap`` days.
     Returns (mean, std, threshold, change points).
     """
-    values = np.array([d.distance for d in distances])
+    # a contiguous copy reduces exactly as the array of a fresh list did
+    values = np.ascontiguousarray(distances["distance"])
     mean = float(values.mean())
     std = float(values.std())  # population form: deterministic for n = 1
     threshold = mean + cfg.threshold_k * std
-    flags = [d for d in distances if d.distance > threshold]
-    merged = _merge_flags(flags, cfg.effective_merge_gap)
+    dates = distances["date"]
+    flagged = np.flatnonzero(values > threshold)
     change_points = tuple(
-        ChangePoint(date=f.boundary_date, distance=f.distance, threshold=threshold)
-        for f in merged
+        ChangePoint(date=dates[i].item(), distance=float(values[i]), threshold=threshold)
+        for i in _merge_flags(
+            dates.view(np.int64).tolist(), values, flagged, cfg.effective_merge_gap
+        )
     )
     return mean, std, threshold, change_points
 
@@ -253,17 +259,13 @@ def ols_slope_test(x, y) -> tuple:
     return slope, float(2.0 * special.stdtr(n - 2, -(abs(slope) / se)))
 
 
-def classify_trend(points, metric: str = "ctr", alpha: float = 0.05) -> tuple:
-    """OLS slope of the metric on day offsets plus a two-sided t-test.
+def classify_trend(days, values, alpha: float = 0.05) -> tuple:
+    """OLS slope of ``values`` on ``days`` plus a two-sided t-test.
 
     Returns (trend, slope, p_value).  Slopes are in metric units per
     day.  Segments with fewer than 3 points are stable with p = 1.
     """
-    points = tuple(points)
-    d0 = points[0].date if points else None
-    slope, p_value = ols_slope_test(
-        [(p.date - d0).days for p in points], [p.metric(metric) for p in points]
-    )
+    slope, p_value = ols_slope_test(days, values)
     if p_value < alpha and slope > 0:
         return "improving", slope, p_value
     if p_value < alpha and slope < 0:
@@ -284,18 +286,18 @@ def segment_series(series: TimeSeries, change_dates, alpha: float = 0.05) -> lis
                 f"change point {d} outside series span "
                 f"[{series.start_date}, {series.end_date}]"
             )
-    bounds = [series.start_date] + list(change_dates)
+    starts = [series.start_date] + change_dates
+    ends = [d - dt.timedelta(days=1) for d in change_dates] + [series.end_date]
+    # segment i holds the observations dated from starts[i] up to the next start
+    cuts = series.dates.searchsorted(starts).tolist()
+    cuts.append(len(series))
+    offsets = series.day_offsets()
+    values = series.metric_values()
     segments = []
-    for i, start in enumerate(bounds):
-        end = (
-            bounds[i + 1] - dt.timedelta(days=1)
-            if i + 1 < len(bounds)
-            else series.end_date
-        )
-        pts = series.between(start, end)
-        trend, slope, p_value = classify_trend(pts, series.metric, alpha)
-        mean_metric = (
-            float(np.mean([p.metric(series.metric) for p in pts])) if pts else 0.0
+    for start, end, lo, hi in zip(starts, ends, cuts[:-1], cuts[1:]):
+        # offsets from the segment's first observation, as the trend is fitted
+        trend, slope, p_value = classify_trend(
+            offsets[lo:hi] - offsets[lo : lo + 1], values[lo:hi], alpha
         )
         segments.append(
             Segment(
@@ -304,8 +306,8 @@ def segment_series(series: TimeSeries, change_dates, alpha: float = 0.05) -> lis
                 trend=trend,
                 slope=slope,
                 p_value=p_value,
-                mean_metric=mean_metric,
-                n_points=len(pts),
+                mean_metric=float(np.mean(values[lo:hi])) if hi > lo else 0.0,
+                n_points=hi - lo,
             )
         )
     return segments
@@ -322,7 +324,7 @@ def detect(series: TimeSeries, cfg: DetectorConfig | None = None) -> ChangePoint
     return ChangePointReport(
         config=cfg,
         metric=series.metric,
-        distances=tuple(distances),
+        distances=distances,
         mean_distance=mean,
         std_distance=std,
         threshold=threshold,

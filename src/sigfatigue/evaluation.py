@@ -175,23 +175,17 @@ def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) 
     mean_delay = np.divide(
         delay_sum, n_delays, out=np.full(len(idx), np.nan), where=n_delays > 0
     )
-    samples = {
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "mean_delay_days": mean_delay,
-    }
     lo_q, hi_q = 100 * (1 - level) / 2, 100 * (1 + level) / 2
-    out = {}
-    for name, arr in samples.items():
-        arr = arr[~np.isnan(arr)]
-        if arr.size == 0:
-            out[name] = None
-        else:
-            out[name] = {
-                "lo": float(np.percentile(arr, lo_q)),
-                "hi": float(np.percentile(arr, hi_q)),
-            }
+    rates = ("precision", "recall", "f1")
+    out = dict.fromkeys((*rates, "mean_delay_days"))
+    if len(idx):
+        bounds = np.percentile(np.stack([precision, recall, f1]), [lo_q, hi_q], axis=1)
+        for name, (lo, hi) in zip(rates, bounds.T.tolist()):
+            out[name] = {"lo": lo, "hi": hi}
+    delays = mean_delay[~np.isnan(mean_delay)]
+    if delays.size:
+        lo, hi = np.percentile(delays, [lo_q, hi_q]).tolist()
+        out["mean_delay_days"] = {"lo": lo, "hi": hi}
     return out
 
 

@@ -158,16 +158,6 @@ def chen_concat(a: TensorSeq, b: TensorSeq) -> TensorSeq:
     return _product(a, b)
 
 
-def _as_points(path) -> np.ndarray:
-    pts = getattr(path, "points", path)
-    arr = np.asarray(pts, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise InvalidInputError("path must be an (n, d) array of vertices")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("path vertices must be finite")
-    return arr
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flattened outer product over the leading axes of (p, ..., B) and (q, ..., B).
 
@@ -253,12 +243,15 @@ def path_signature(path, depth: int) -> TensorSeq:
 
     Equivalent to folding ``segment_signature`` over the consecutive
     vertex increments with ``chen_concat``; computed by the batched
-    kernel on a batch of one.  Accepts an (n, d) vertex array or any
-    object with a ``points`` attribute holding one.
+    kernel on a batch of one.  ``path`` is an (n, d) vertex array.
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
-    pts = _as_points(path)
+    pts = np.asarray(path, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise InvalidInputError("path must be an (n, d) array of vertices")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("path vertices must be finite")
     if pts.shape[0] < 2:
         raise InsufficientDataError(
             f"path needs at least 2 points, got {pts.shape[0]}"

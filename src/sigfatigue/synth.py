@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PatternSpecError
-from .windowing import SeriesPoint, TimeSeries
+from .windowing import TimeSeries
 
 __all__ = [
     "PATTERN_KINDS",
@@ -310,16 +310,12 @@ def generate(spec: PatternSpec) -> tuple:
             refill = rng.choice(removed, size=min_obs - int(keep.sum()), replace=False)
             keep[refill] = True
 
-    points = []
-    for idx in np.flatnonzero(keep):
-        points.append(
-            SeriesPoint(
-                date=spec.start_date + dt.timedelta(days=int(idx)),
-                impressions=int(impressions[idx]),
-                clicks=int(min(clicks[idx], impressions[idx])),
-            )
-        )
-    series = TimeSeries(points=tuple(points))
+    kept = np.flatnonzero(keep)
+    series = TimeSeries(
+        dates=np.datetime64(spec.start_date, "D") + kept,
+        impressions=impressions[kept],
+        clicks=np.minimum(clicks[kept], impressions[kept]),
+    )
     truth = GroundTruth(change_days=tuple(default_change_days(spec)))
     return series, truth
 

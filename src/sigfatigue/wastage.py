@@ -87,11 +87,12 @@ def lost_clicks(ctr_bench: float, ctr_t: float, impressions_t: float) -> float:
     return max(0.0, ctr_bench - ctr_t) * impressions_t
 
 
-def _benchmark_cpc(series: TimeSeries, bench_points, user_cpc: float | None) -> float:
-    costed = all(p.cost is not None for p in bench_points)
-    total_clicks = sum(p.clicks for p in bench_points)
+def _benchmark_cpc(series: TimeSeries, bench: slice, user_cpc: float | None) -> float:
+    costed = series.cost is not None
+    total_clicks = int(series.clicks[bench].sum())
     if costed and total_clicks > 0:
-        return sum(p.cost for p in bench_points) / total_clicks
+        # left to right, as a Python sum rounds
+        return sum(series.cost[bench].tolist()) / total_clicks
     if user_cpc is not None:
         if not 0 <= user_cpc < math.inf:
             raise ConfigurationError("cpc must be finite and nonnegative")
@@ -117,31 +118,33 @@ def compute_wastage(
     benchmark segment.  The benchmark cost per click comes from the
     segment's cost data (total cost / total clicks) when present, else
     from the ``cpc`` argument.  Days that beat the benchmark clamp to
-    zero rather than offsetting.
+    zero rather than offsetting (see ``lost_clicks``).
     """
     benchmark, fallback = select_benchmark(segments)
-    bench_points = series.between(benchmark.start_date, benchmark.end_date)
-    if not bench_points:
+    lo = int(series.dates.searchsorted(benchmark.start_date))
+    hi = int(series.dates.searchsorted(benchmark.end_date, side="right"))
+    if hi <= lo:
         raise InvalidInputError(
             "benchmark segment contains no observations of this series"
         )
+    ctr = series.metric_values("ctr")
     # fsum keeps the constant-rate case exactly at the shared value, so a
     # day matching the benchmark rate prices to exactly zero
-    ctr_bench = math.fsum(p.ctr for p in bench_points) / len(bench_points)
-    cpc_bench = _benchmark_cpc(series, bench_points, cpc)
+    ctr_bench = math.fsum(ctr[lo:hi].tolist()) / (hi - lo)
+    cpc_bench = _benchmark_cpc(series, slice(lo, hi), cpc)
 
-    daily = []
-    for p in series.points:
-        if p.date <= benchmark.end_date:
-            continue
-        lost = lost_clicks(ctr_bench, p.ctr, p.impressions)
-        daily.append(DailyWastage(date=p.date, lost_clicks=lost, wastage=lost * cpc_bench))
-    total = math.fsum(d.wastage for d in daily)
+    # lost_clicks for every day after the benchmark at once
+    lost = (ctr_bench - ctr[hi:]).clip(min=0.0) * series.impressions[hi:]
+    wastage = lost * cpc_bench
+    daily = tuple(
+        DailyWastage(date=d, lost_clicks=n, wastage=w)
+        for d, n, w in zip(series.dates[hi:].tolist(), lost.tolist(), wastage.tolist())
+    )
     return WastageReport(
         benchmark=benchmark,
         benchmark_is_fallback=fallback,
         ctr_benchmark=ctr_bench,
         cpc_benchmark=cpc_bench,
-        daily=tuple(daily),
-        total_wastage=total,
+        daily=daily,
+        total_wastage=math.fsum(wastage.tolist()),
     )

@@ -6,10 +6,13 @@ observations (not calendar days) so gapped series still form full
 windows, while real calendar spacing is preserved inside the normalized
 time coordinate.
 
+A series is held as columns (dates, impressions, clicks, optional
+cost), so every stage reads array views instead of per-day objects.
+
 Input CSV contract: header ``date,impressions,clicks`` with an optional
-trailing ``cost`` column, ISO-8601 dates, one row per day.  Days with
-zero impressions have no defined click-through rate and are dropped at
-ingestion with a warning.
+trailing ``cost`` column filled on every row, ISO-8601 dates, one row
+per day.  Days with zero impressions have no defined click-through rate
+and are dropped at ingestion with a warning.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SeriesPoint",
     "TimeSeries",
     "pair_paths",
     "read_series_csv",
@@ -38,100 +40,103 @@ __all__ = [
 ]
 
 METRICS = ("ctr", "clicks", "impressions", "cost")
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    """One day of campaign performance."""
+def _invalid_row(dates, impressions, clicks, cost):
+    """(index, message) of the first row that breaks a column rule, or None.
 
-    date: dt.date
-    impressions: int
-    clicks: int
-    cost: float | None = None
-
-    def __post_init__(self):
-        if self.impressions <= 0:
-            raise InvalidInputError(
-                f"{self.date}: impressions must be positive (zero-impression days "
-                "are excluded at ingestion)"
-            )
-        if self.clicks < 0 or self.clicks > self.impressions:
-            raise InvalidInputError(
-                f"{self.date}: clicks must satisfy 0 <= clicks <= impressions"
-            )
-        if self.cost is not None and not 0 <= self.cost < math.inf:
-            raise InvalidInputError(f"{self.date}: cost must be finite and nonnegative")
-
-    @property
-    def ctr(self) -> float:
-        return self.clicks / self.impressions
-
-    def metric(self, name: str) -> float:
-        if name == "ctr":
-            return self.ctr
-        if name == "clicks":
-            return float(self.clicks)
-        if name == "impressions":
-            return float(self.impressions)
-        if name == "cost":
-            if self.cost is None:
-                raise InvalidInputError(f"{self.date}: no cost recorded")
-            return self.cost
-        raise InvalidInputError(f"unknown metric {name!r}, expected one of {METRICS}")
+    Row values are checked first, in row order, then date order.
+    """
+    rules = [
+        (impressions <= 0, "impressions must be positive (zero-impression days "
+         "are excluded at ingestion)"),
+        ((clicks < 0) | (clicks > impressions), "clicks must satisfy 0 <= clicks <= impressions"),
+    ]
+    if cost is not None:
+        rules.append((~((cost >= 0) & (cost < math.inf)), "cost must be finite and nonnegative"))
+    broken = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(rules) if mask.any()]
+    if broken:
+        i, k = min(broken)
+        return i, f"{dates[i]}: {rules[k][1]}"
+    unordered = np.flatnonzero(dates[1:] <= dates[:-1])
+    if unordered.size:
+        i = int(unordered[0]) + 1
+        return i, f"dates must be strictly increasing, got {dates[i - 1]} then {dates[i]}"
+    return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Date-ordered daily observations plus the metric under analysis."""
+    """Date-ordered daily observations, one column each, plus the metric
+    under analysis.
 
-    points: tuple = ()
+    ``dates`` is ``datetime64[D]``, ``impressions`` and ``clicks`` are
+    integers, and ``cost`` is float or None when no spend was recorded.
+    The columns are copied, validated once and made read-only.
+    """
+
+    dates: np.ndarray
+    impressions: np.ndarray
+    clicks: np.ndarray
+    cost: np.ndarray | None = None
     metric: str = "ctr"
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 1:
+        columns = {
+            "dates": np.array(self.dates, dtype="datetime64[D]"),
+            "impressions": np.array(self.impressions, dtype=np.int64),
+            "clicks": np.array(self.clicks, dtype=np.int64),
+        }
+        if self.cost is not None:
+            columns["cost"] = np.array(self.cost, dtype=float)
+        for name, column in columns.items():
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        shapes = {column.shape for column in columns.values()}
+        if len(shapes) != 1 or self.dates.ndim != 1:
+            raise InvalidInputError(
+                "columns must be one-dimensional and of equal length, got shapes "
+                + ", ".join(f"{name} {column.shape}" for name, column in columns.items())
+            )
+        if len(self.dates) < 1:
             raise InvalidInputError("series must contain at least one point")
-        for prev, cur in zip(pts[:-1], pts[1:]):
-            if cur.date <= prev.date:
-                raise InvalidInputError(
-                    f"dates must be strictly increasing, got {prev.date} then {cur.date}"
-                )
+        bad = _invalid_row(self.dates, self.impressions, self.clicks, self.cost)
+        if bad is not None:
+            raise InvalidInputError(bad[1])
         if self.metric not in METRICS:
             raise InvalidInputError(
                 f"unknown metric {self.metric!r}, expected one of {METRICS}"
             )
 
     def __len__(self):
-        return len(self.points)
+        return len(self.dates)
 
     @property
     def start_date(self) -> dt.date:
-        return self.points[0].date
+        return self.dates[0].item()
 
     @property
     def end_date(self) -> dt.date:
-        return self.points[-1].date
-
-    @property
-    def has_cost_data(self) -> bool:
-        return all(p.cost is not None for p in self.points)
-
-    def dates(self) -> list:
-        return [p.date for p in self.points]
+        return self.dates[-1].item()
 
     def day_offsets(self) -> np.ndarray:
         """Days elapsed since the first observation, one entry per point."""
-        d0 = self.start_date
-        return np.array([(p.date - d0).days for p in self.points], dtype=float)
+        return (self.dates - self.dates[0]).astype(float)
 
     def metric_values(self, name: str | None = None) -> np.ndarray:
         name = self.metric if name is None else name
-        return np.array([p.metric(name) for p in self.points], dtype=float)
-
-    def between(self, start: dt.date, end: dt.date) -> tuple:
-        """Points with start <= date <= end."""
-        return tuple(p for p in self.points if start <= p.date <= end)
+        if name == "ctr":
+            return self.clicks / self.impressions
+        if name == "clicks":
+            return self.clicks.astype(float)
+        if name == "impressions":
+            return self.impressions.astype(float)
+        if name == "cost":
+            if self.cost is None:
+                raise InvalidInputError("series has no cost recorded")
+            return self.cost
+        raise InvalidInputError(f"unknown metric {name!r}, expected one of {METRICS}")
 
 
 def pair_paths(series: TimeSeries, window: int) -> tuple:
@@ -173,7 +178,7 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     t = elapsed / elapsed[:, -1:]
     paths[:, :window, 0] = t[:n_pairs]
     paths[:, window:, 0] = t[window:]
-    return series.dates()[window : window + n_pairs], paths[:, :window], paths[:, window:]
+    return series.dates[window : window + n_pairs], paths[:, :window], paths[:, window:]
 
 
 def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
@@ -182,7 +187,7 @@ def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
     Malformed rows raise :class:`CsvFormatError` naming the line number.
     Zero-impression rows are skipped with a warning.
     """
-    points = []
+    lines, ordinals, impressions, clicks, costs = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -197,9 +202,8 @@ def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
                 "header must be 'date,impressions,clicks[,cost]'", 1
             )
         has_cost = len(header) == 4
-        prev_date = None
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != len(header):
                 raise CsvFormatError(
@@ -207,47 +211,51 @@ def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
                 )
             try:
                 date = dt.date.fromisoformat(row[0].strip())
-                impressions = int(row[1])
-                clicks = int(row[2])
-                cost = None
-                if has_cost and row[3].strip() != "":
-                    cost = float(row[3])
+                n_impressions = int(row[1])
+                n_clicks = int(row[2])
+                cost = float(row[3]) if has_cost else 0.0
             except ValueError as exc:
                 raise CsvFormatError(str(exc), line_no) from None
-            if impressions == 0:
+            if n_impressions == 0:
                 warnings.warn(
                     f"{path}: dropping {date} (zero impressions, CTR undefined)",
                     stacklevel=2,
                 )
                 continue
-            if prev_date is not None and date <= prev_date:
-                raise CsvFormatError(
-                    f"dates must be strictly increasing, got {date} after {prev_date}",
-                    line_no,
-                )
-            prev_date = date
-            try:
-                points.append(
-                    SeriesPoint(date=date, impressions=impressions, clicks=clicks, cost=cost)
-                )
-            except InvalidInputError as exc:
-                raise CsvFormatError(str(exc), line_no) from None
-    if not points:
+            if not max(abs(n_impressions), abs(n_clicks)) < 2**63:
+                raise CsvFormatError("counts must fit in 64-bit integers", line_no)
+            lines.append(line_no)
+            ordinals.append(date.toordinal())
+            impressions.append(n_impressions)
+            clicks.append(n_clicks)
+            costs.append(cost)
+    if not lines:
         raise CsvFormatError("no usable observations", 1)
-    return TimeSeries(points=tuple(points), metric=metric)
+    columns = (
+        (np.array(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).view("datetime64[D]"),
+        np.array(impressions, dtype=np.int64),
+        np.array(clicks, dtype=np.int64),
+        np.array(costs) if has_cost else None,
+    )
+    bad = _invalid_row(*columns)
+    if bad is not None:
+        raise CsvFormatError(bad[1], lines[bad[0]])
+    return TimeSeries(*columns, metric=metric)
 
 
 def write_series_csv(series: TimeSeries, path) -> None:
     """Write a series in the standard input CSV format."""
-    with_cost = any(p.cost is not None for p in series.points)
+    columns = [
+        np.datetime_as_string(series.dates).tolist(),
+        series.impressions.tolist(),
+        series.clicks.tolist(),
+    ]
+    header = ["date", "impressions", "clicks"]
+    if series.cost is not None:
+        # tolist gives Python floats, whose repr is the shortest round trip
+        columns.append([repr(c) for c in series.cost.tolist()])
+        header.append("cost")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["date", "impressions", "clicks", "cost"] if with_cost
-            else ["date", "impressions", "clicks"]
-        )
-        for p in series.points:
-            row = [p.date.isoformat(), p.impressions, p.clicks]
-            if with_cost:
-                row.append("" if p.cost is None else repr(p.cost))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))

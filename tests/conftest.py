@@ -4,26 +4,29 @@ import numpy as np
 import pytest
 
 from sigfatigue.synth import generate_batch
-from sigfatigue.windowing import SeriesPoint, TimeSeries
+from sigfatigue.windowing import TimeSeries
 
 START = dt.date(2024, 1, 1)
 
 
-def series_from_ctr(ctrs, impressions=50_000, start=START, cost_per_click=None):
-    """Series with clicks chosen to hit the requested rates exactly."""
-    points = []
-    for i, ctr in enumerate(ctrs):
-        clicks = int(round(impressions * ctr))
-        cost = None if cost_per_click is None else cost_per_click * clicks
-        points.append(
-            SeriesPoint(
-                date=start + dt.timedelta(days=i),
-                impressions=impressions,
-                clicks=clicks,
-                cost=cost,
-            )
-        )
-    return TimeSeries(points=tuple(points))
+def daily_dates(n, start=START):
+    """``n`` consecutive days from ``start``."""
+    return [start + dt.timedelta(days=i) for i in range(n)]
+
+
+def series_from_ctr(ctrs, impressions=50_000, start=START, cost_per_click=None, dates=None):
+    """Series with clicks chosen to hit the requested rates exactly.
+
+    ``dates`` (default: consecutive days from ``start``) allows gaps.
+    """
+    ctrs = np.asarray(ctrs, dtype=float)
+    clicks = np.array([int(round(impressions * ctr)) for ctr in ctrs], dtype=np.int64)
+    return TimeSeries(
+        dates=daily_dates(len(ctrs), start) if dates is None else dates,
+        impressions=np.full(len(ctrs), impressions),
+        clicks=clicks,
+        cost=None if cost_per_click is None else cost_per_click * clicks,
+    )
 
 
 def sharp_drop_ctrs(total=120, drop_day=61, high=0.02, low=0.008):

@@ -28,9 +28,9 @@ from sigfatigue.sigcore import (
 )
 from sigfatigue.synth import PatternSpec, generate
 from sigfatigue.wastage import compute_wastage, lost_clicks
-from sigfatigue.windowing import SeriesPoint, TimeSeries
+from sigfatigue.windowing import TimeSeries
 
-from conftest import START, series_from_ctr, sharp_drop_ctrs
+from conftest import START, daily_dates, series_from_ctr, sharp_drop_ctrs
 from oracle_utils import riemann_signature_levels
 
 RAW_FLAGS = dict(window=14, depth=3, threshold_k=1.5, merge_gap=0)
@@ -193,15 +193,11 @@ def test_c09_gap_robustness():
 def _walk_series(total_days, seed):
     rng = np.random.default_rng(seed)
     rates = np.clip(0.02 * np.exp(0.1 * np.cumsum(rng.normal(0, 0.05, total_days))), 0.001, 0.2)
-    points = [
-        SeriesPoint(
-            date=dt.date(2010, 1, 1) + dt.timedelta(days=i),
-            impressions=50_000,
-            clicks=int(50_000 * r),
-        )
-        for i, r in enumerate(rates)
-    ]
-    return TimeSeries(points=tuple(points))
+    return TimeSeries(
+        dates=daily_dates(total_days, dt.date(2010, 1, 1)),
+        impressions=np.full(total_days, 50_000),
+        clicks=[int(50_000 * r) for r in rates],
+    )
 
 
 def test_c10_linear_scaling():

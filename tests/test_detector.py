@@ -9,14 +9,15 @@ from sigfatigue.detector import (
     classify_trend,
     detect,
     distance_series,
+    flag_change_points,
     ols_slope_test,
     segment_series,
 )
 from sigfatigue import detector, sigcore as sc
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
-from sigfatigue.windowing import SeriesPoint, TimeSeries, pair_paths
+from sigfatigue.windowing import TimeSeries, pair_paths
 
-from conftest import START, series_from_ctr, sharp_drop_ctrs
+from conftest import START, daily_dates, series_from_ctr, sharp_drop_ctrs
 
 
 def day(n):
@@ -55,7 +56,7 @@ class TestDistanceSeries:
     def test_constant_series_all_zero(self, constant_series):
         points = distance_series(constant_series, DetectorConfig(window=14))
         assert len(points) == 93
-        assert all(p.distance == 0.0 for p in points)
+        assert np.all(points["distance"] == 0.0)
 
     def test_count_equals_pairs(self, sharp_series):
         assert len(distance_series(sharp_series, DetectorConfig(window=14))) == 93
@@ -63,7 +64,7 @@ class TestDistanceSeries:
     def test_reflected_ramp_has_positive_distance(self):
         up_down = series_from_ctr([0.01 + 0.001 * t for t in range(10)] + [0.019 - 0.001 * t for t in range(10)])
         points = distance_series(up_down, DetectorConfig(window=10))
-        assert points[0].distance > 0.0
+        assert points["distance"][0] > 0.0
 
     def test_too_short_names_requirement(self):
         series = series_from_ctr([0.01] * 20)
@@ -72,14 +73,14 @@ class TestDistanceSeries:
 
     def test_boundary_dates_increase(self, sharp_series):
         points = distance_series(sharp_series, DetectorConfig(window=14))
-        dates = [p.boundary_date for p in points]
+        dates = points["date"].tolist()
         assert dates == sorted(dates)
 
     def test_log_mode_runs(self, sharp_series):
         full = distance_series(sharp_series, DetectorConfig(window=14))
         log = distance_series(sharp_series, DetectorConfig(window=14, feature_mode="log"))
         assert len(full) == len(log)
-        assert max(p.distance for p in log) > 0
+        assert log["distance"].max() > 0
 
 
 def oracle_distances(series, window, depth, feature_mode):
@@ -89,22 +90,23 @@ def oracle_distances(series, window, depth, feature_mode):
     is its elapsed days, and each closed loop is folded segment by segment
     with ``chen_concat``; nothing is shared with the batched kernel.
     """
-    pts = series.points
+    dates = series.dates.tolist()
+    metric = series.metric_values()
     out = []
-    for i in range(len(pts) - 2 * window + 1):
-        pair = pts[i : i + 2 * window]
-        values = np.array([p.metric(series.metric) for p in pair])
+    for i in range(len(dates) - 2 * window + 1):
+        pair = dates[i : i + 2 * window]
+        values = metric[i : i + 2 * window]
         lo, hi = values.min(), values.max()
         y = np.full(len(pair), 0.5) if hi == lo else (values - lo) / (hi - lo)
         sigs = []
         for half in (slice(0, window), slice(window, 2 * window)):
-            days = np.array([(p.date - pair[half][0].date).days for p in pair[half]], float)
+            days = np.array([(d - pair[half][0]).days for d in pair[half]], float)
             loop = np.vstack([[0.0, 0.0], np.column_stack([days / days[-1], y[half]]), [1.0, 0.0]])
             sig = sc.identity(2, depth)
             for a, b in zip(loop[:-1], loop[1:]):
                 sig = sc.chen_concat(sig, sc.segment_signature(b - a, depth))
             sigs.append(sc.log_signature(sig) if feature_mode == "log" else sig)
-        out.append((pair[window].date, sc.sig_distance(*sigs)))
+        out.append((pair[window], sc.sig_distance(*sigs)))
     return out
 
 
@@ -117,11 +119,7 @@ def walk_series(kind, n=40, seed=0):
         ctrs[:20] = 0.02
     steps = rng.integers(1, 5, n) if kind == "gapped" else np.ones(n, dtype=int)
     offsets = np.cumsum(steps) - steps[0]
-    pts = [
-        SeriesPoint(date=START + dt.timedelta(days=int(o)), impressions=50_000, clicks=round(50_000 * c))
-        for o, c in zip(offsets, ctrs)
-    ]
-    return TimeSeries(points=tuple(pts))
+    return series_from_ctr(ctrs, dates=[START + dt.timedelta(days=int(o)) for o in offsets])
 
 
 class TestKernelAgainstOracle:
@@ -134,23 +132,23 @@ class TestKernelAgainstOracle:
         cfg = DetectorConfig(window=window, depth=depth, feature_mode=feature_mode)
         points = distance_series(series, cfg)
         oracle = oracle_distances(series, window, depth, feature_mode)
-        assert [p.boundary_date for p in points] == [d for d, _ in oracle]
+        assert points["date"].tolist() == [d for d, _ in oracle]
         np.testing.assert_allclose(
-            [p.distance for p in points], [v for _, v in oracle], rtol=0, atol=1e-12
+            points["distance"], [v for _, v in oracle], rtol=0, atol=1e-12
         )
 
     def test_constant_pairs_have_zero_distance(self):
         points = distance_series(walk_series("flat"), DetectorConfig(window=7))
-        assert all(p.distance == 0.0 for p in points[:7])
-        assert points[7].distance > 0.0
+        assert np.all(points["distance"][:7] == 0.0)
+        assert points["distance"][7] > 0.0
 
     @pytest.mark.parametrize("feature_mode", ["full", "log"])
     def test_one_pair_when_series_is_two_windows(self, feature_mode):
         series = walk_series("gapped", n=28, seed=3)
         points = distance_series(series, DetectorConfig(window=14, feature_mode=feature_mode))
         (date, dist), = oracle_distances(series, 14, 3, feature_mode)
-        assert len(points) == 1 and points[0].boundary_date == date
-        assert points[0].distance == pytest.approx(dist, rel=0, abs=1e-12)
+        assert len(points) == 1 and points["date"].tolist() == [date]
+        assert points["distance"][0] == pytest.approx(dist, rel=0, abs=1e-12)
 
     def test_too_short_message(self):
         with pytest.raises(
@@ -190,9 +188,37 @@ class TestKernelAgainstOracle:
         )
         (feats,) = features
         left, right = feats[: len(points)], feats[len(points):]
-        assert [p.distance for p in points] == [
+        assert points["distance"].tolist() == [
             float(np.linalg.norm(a - b)) for a, b in zip(left, right)
         ]
+
+
+def greedy_merge(dates, values, threshold, merge_gap):
+    """Flags over ``threshold``, merged one flag object at a time."""
+    flags = [(d, v) for d, v in zip(dates, values) if v > threshold]
+    emitted = []
+    for d, v in sorted(flags, key=lambda f: (-f[1], f[0])):
+        if all(abs((d - e).days) > merge_gap for e, _ in emitted):
+            emitted.append((d, v))
+    return sorted(emitted)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_flag_change_points_matches_greedy_merge(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    dates = [START + dt.timedelta(days=int(d)) for d in np.cumsum(rng.integers(1, 4, n))]
+    values = rng.integers(0, 6, n) / 4.0  # coarse values, so ties are common
+    distances = np.empty(n, dtype=detector.DISTANCE_DTYPE)
+    distances["date"] = dates
+    distances["distance"] = values
+    cfg = DetectorConfig(threshold_k=0.25, merge_gap=int(rng.integers(0, 8)))
+    mean, std, threshold, change_points = flag_change_points(distances, cfg)
+    assert (mean, std) == (float(np.mean(values.tolist())), float(np.std(values.tolist())))
+    assert [(c.date, c.distance) for c in change_points] == greedy_merge(
+        dates, values.tolist(), threshold, cfg.merge_gap
+    )
+    assert all(c.threshold == threshold for c in change_points)
 
 
 class TestDetect:
@@ -252,16 +278,13 @@ class TestDetect:
         costs[30:] *= 0.4
         for factor in (2.0, 0.5, 3.0):
             def build(scale):
-                pts = [
-                    SeriesPoint(
-                        date=START + dt.timedelta(days=i),
-                        impressions=1000,
-                        clicks=10,
-                        cost=c * scale,
-                    )
-                    for i, c in enumerate(costs)
-                ]
-                return TimeSeries(points=tuple(pts), metric="cost")
+                return TimeSeries(
+                    dates=daily_dates(len(costs)),
+                    impressions=[1000] * len(costs),
+                    clicks=[10] * len(costs),
+                    cost=costs * scale,
+                    metric="cost",
+                )
 
             base = detect(build(1.0), DetectorConfig(window=7, threshold_k=1.5))
             scaled = detect(build(factor), DetectorConfig(window=7, threshold_k=1.5))
@@ -270,64 +293,65 @@ class TestDetect:
     @pytest.mark.parametrize("window", [7, 10, 14])
     def test_argmax_localizes_noiseless_drop(self, sharp_series, window):
         points = distance_series(sharp_series, DetectorConfig(window=window))
-        best = max(points, key=lambda p: p.distance)
-        assert abs((best.boundary_date - day(61)).days) <= 1
+        best = points["date"][points["distance"].argmax()].item()
+        assert abs((best - day(61)).days) <= 1
 
     def test_gapped_series_detects(self):
         ctrs = sharp_drop_ctrs()
         keep = [i for i in range(120) if i % 5 != 3]  # drop every fifth day
-        pts = [
-            SeriesPoint(date=day(i + 1), impressions=50_000, clicks=round(50_000 * ctrs[i]))
-            for i in keep
-        ]
-        series = TimeSeries(points=tuple(pts))
+        series = series_from_ctr([ctrs[i] for i in keep], dates=[day(i + 1) for i in keep])
         report = detect(series, DetectorConfig(window=14, threshold_k=1.5))
         assert len(report.change_points) >= 1
         nearest = min(abs((c.date - day(61)).days) for c in report.change_points)
         assert nearest <= 3
 
 
+def trend_of(series, alpha=0.05):
+    return classify_trend(series.day_offsets(), series.metric_values(), alpha)
+
+
 class TestClassifyTrend:
     def test_noiseless_improvement(self):
-        pts = series_from_ctr([0.01 + 0.001 * t for t in range(20)]).points
-        trend, slope, p = classify_trend(pts, "ctr", 0.05)
+        series = series_from_ctr([0.01 + 0.001 * t for t in range(20)])
+        trend, slope, p = trend_of(series)
         assert trend == "improving"
         assert slope == pytest.approx(0.001, rel=1e-6)
         assert p < 1e-6
 
     def test_constant_is_stable(self):
-        pts = series_from_ctr([0.02] * 20).points
-        trend, slope, p = classify_trend(pts, "ctr", 0.05)
+        series = series_from_ctr([0.02] * 20)
+        trend, slope, p = trend_of(series)
         assert trend == "stable"
         assert slope == 0.0
         assert p == 1.0
 
     def test_noiseless_decline(self):
-        pts = series_from_ctr([0.03 - 0.0005 * t for t in range(20)]).points
-        trend, slope, _ = classify_trend(pts, "ctr", 0.05)
+        series = series_from_ctr([0.03 - 0.0005 * t for t in range(20)])
+        trend, slope, _ = trend_of(series)
         assert trend == "declining"
         assert slope < 0
 
     def test_two_point_segment_is_stable(self):
-        pts = series_from_ctr([0.01, 0.03]).points
-        trend, _, p = classify_trend(pts, "ctr", 0.05)
+        series = series_from_ctr([0.01, 0.03])
+        trend, _, p = trend_of(series)
         assert trend == "stable"
         assert p == 1.0
 
     def test_noisy_flat_is_stable(self):
         rng = np.random.default_rng(2)
-        pts = series_from_ctr(0.02 + rng.normal(0, 0.002, 30)).points
-        trend, _, p = classify_trend(pts, "ctr", 0.05)
+        series = series_from_ctr(0.02 + rng.normal(0, 0.002, 30))
+        trend, _, p = trend_of(series)
         assert trend == "stable"
         assert p >= 0.05
 
     def test_slope_uses_calendar_days(self):
         dates = [day(1), day(3), day(5), day(9)]
-        pts = [
-            SeriesPoint(date=d, impressions=10_000, clicks=int(10_000 * (0.01 + 0.001 * (d - day(1)).days)))
-            for d in dates
-        ]
-        _, slope, _ = classify_trend(pts, "ctr", 0.05)
+        series = TimeSeries(
+            dates=dates,
+            impressions=[10_000] * len(dates),
+            clicks=[int(10_000 * (0.01 + 0.001 * (d - day(1)).days)) for d in dates],
+        )
+        _, slope, _ = trend_of(series)
         assert slope == pytest.approx(0.001, rel=1e-6)
 
 
@@ -363,6 +387,42 @@ class TestOlsSlopeTest:
         x = [0.0, 1.0, 2.0, 3.0]
         y = [sign * (3.0 * v + 1.0) for v in x]
         assert ols_slope_test(x, y) == (sign * 3.0, 0.0)
+
+
+def per_day_segments(series, change_dates, alpha):
+    """Segments from a per-day walk: each day tested against each span."""
+    days = series.dates.tolist()
+    values = series.metric_values().tolist()
+    starts = [series.start_date] + sorted(set(change_dates))
+    ends = [d - dt.timedelta(days=1) for d in starts[1:]] + [series.end_date]
+    out = []
+    for start, end in zip(starts, ends):
+        rows = [(d, v) for d, v in zip(days, values) if start <= d <= end]
+        x = [(d - rows[0][0]).days for d, _ in rows]
+        y = [v for _, v in rows]
+        slope, p = ols_slope_test(x, y)
+        trend = "stable"
+        if p < alpha and slope != 0:
+            trend = "improving" if slope > 0 else "declining"
+        mean = float(np.mean(y)) if y else 0.0
+        out.append((start, end, trend, slope, p, mean, len(rows)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_segments_match_per_day_walk(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 120))
+    dates = [START + dt.timedelta(days=int(d)) for d in np.cumsum(rng.integers(1, 4, n))]
+    series = series_from_ctr(np.clip(0.02 + np.cumsum(rng.normal(0, 0.001, n)), 0.001, 0.1), dates=dates)
+    # change dates may fall in calendar gaps, so some segments are short or empty
+    span = (dates[-1] - dates[0]).days
+    change_dates = [dates[0] + dt.timedelta(days=int(d)) for d in rng.integers(1, span, 4)]
+    segments = segment_series(series, change_dates, alpha=0.2)
+    assert [
+        (s.start_date, s.end_date, s.trend, s.slope, s.p_value, s.mean_metric, s.n_points)
+        for s in segments
+    ] == per_day_segments(series, change_dates, 0.2)
 
 
 class TestSegmentSeries:

@@ -11,8 +11,6 @@ import shutil
 import sys
 from pathlib import Path
 
-import pytest
-
 from sigfatigue.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

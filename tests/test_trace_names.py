@@ -1,0 +1,85 @@
+"""The benchmark's per-layer metrics must keep naming live package functions.
+
+``perfbench/tracing.py`` wraps the functions in each module's ``__all__``
+and reports span times and counts by name; a renamed or unexported
+function would make its metric read 0 without any error.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import sigfatigue
+from sigfatigue.detector import DetectorConfig, distance_series
+
+from conftest import series_from_ctr, sharp_drop_ctrs
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# metrics whose functions left the hot path when the batched kernel came in
+KNOWN_DEAD = {
+    "windowing.window_pairs_ms",
+    "windowing.normalize_window_pair_ms",
+    "windowing.normalize_window_pair.calls",
+}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def span_name(metric: str) -> str:
+    if metric in ("detector.pairs", "detector.distance_series.distinct_ratio"):
+        return "detector.distance_series"
+    for suffix in ("_self_ms", "_ms", ".calls"):
+        if metric.endswith(suffix):
+            return metric[: -len(suffix)]
+    raise AssertionError(f"unknown metric form {metric!r}")
+
+
+def is_traced(span: str) -> bool:
+    """Whether the tracer wraps ``span``, by the rule ``Tracer.install`` uses."""
+    layer, attr = span.split(".")
+    module = importlib.import_module(f"sigfatigue.{layer}")
+    public = list(getattr(module, "__all__", ())) + (["main"] if layer == "cli" else [])
+    fn = getattr(module, attr, None)
+    return attr in public and inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_every_span_metric_names_a_traced_function(tracing):
+    metrics = [m for m in tracing.PER_LAYER if m not in tracing.MEASURED_BY_RUNNER]
+    dead = {m for m in metrics if not is_traced(span_name(m))}
+    assert dead == KNOWN_DEAD
+
+
+def test_after_hooks_name_traced_functions(tracing):
+    assert all(is_traced(span) for span in tracing._AFTER)
+
+
+def test_pair_count_is_len_of_distance_series():
+    series = series_from_ctr(sharp_drop_ctrs())
+    cfg = DetectorConfig(window=9)
+    assert len(distance_series(series, cfg)) == len(series) - 2 * cfg.window + 1
+
+
+def test_traced_detect_records_every_stage(tracing):
+    series = series_from_ctr(sharp_drop_ctrs(), cost_per_click=1.1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = sigfatigue.detect(series)
+        sigfatigue.compute_wastage(series, report.segments)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert tracer.counts["detector.pairs"] == len(series) - 2 * 14 + 1
+    assert totals["detector.classify_trend"]["calls"] == len(report.segments)
+    for span in ("detector.segment_series", "detector.distance_series", "wastage.compute_wastage"):
+        assert totals[span]["calls"] == 1

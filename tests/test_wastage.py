@@ -1,5 +1,7 @@
 import datetime as dt
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sigfatigue.detector import Segment
@@ -68,6 +70,21 @@ class TestLostClicks:
             lost_clicks(1.5, 0.01, 100)
 
 
+def test_daily_rows_equal_per_day_lost_clicks():
+    rng = np.random.default_rng(3)
+    series = series_from_ctr(rng.uniform(0.005, 0.03, 60), impressions=40_000, cost_per_click=0.8)
+    segments = [seg(1, 25, "stable", 0.0), seg(26, 60, "declining", 0.0)]
+    report = compute_wastage(series, segments)
+    ctr = series.clicks / series.impressions
+    expected = [
+        lost_clicks(report.ctr_benchmark, float(c), int(i))
+        for c, i in zip(ctr[25:], series.impressions[25:])
+    ]
+    assert [d.lost_clicks for d in report.daily] == expected
+    assert [d.wastage for d in report.daily] == [n * report.cpc_benchmark for n in expected]
+    assert report.cpc_benchmark == sum(series.cost[:25].tolist()) / int(series.clicks[:25].sum())
+
+
 class TestComputeWastage:
     def build(self, bench_ctr=0.02, post_ctr=0.01, impressions=100_000, cost_per_click=None):
         ctrs = [bench_ctr] * 30 + [post_ctr] * 30
@@ -117,11 +134,7 @@ class TestComputeWastage:
     def test_zero_click_benchmark_with_cost_data(self):
         ctrs = [0.0] * 30 + [0.01] * 30
         series = series_from_ctr(ctrs, impressions=1_000, cost_per_click=None)
-        pts = [
-            type(p)(date=p.date, impressions=p.impressions, clicks=p.clicks, cost=5.0)
-            for p in series.points
-        ]
-        series = type(series)(points=tuple(pts))
+        series = replace(series, cost=np.full(len(series), 5.0))
         segments = [seg(1, 30, "stable", 0.0), seg(31, 60, "declining", 0.01)]
         with pytest.raises(ConfigurationError, match="zero clicks"):
             compute_wastage(series, segments)

@@ -5,88 +5,124 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigfatigue.errors import CsvFormatError, InsufficientDataError, InvalidInputError
+from sigfatigue.detector import segment_series
 from sigfatigue.windowing import (
-    SeriesPoint,
     TimeSeries,
     pair_paths,
     read_series_csv,
     write_series_csv,
 )
 
-from conftest import START, series_from_ctr
+from conftest import START, daily_dates, series_from_ctr
 
 
-def make_points(values, dates=None):
-    dates = dates or [START + dt.timedelta(days=i) for i in range(len(values))]
-    return [
-        SeriesPoint(date=d, impressions=100_000, clicks=int(round(100_000 * v)))
-        for d, v in zip(dates, values)
-    ]
+def point(impressions, clicks, cost=None, date=START):
+    """A one-observation series: the rules of a single point."""
+    return TimeSeries(
+        dates=[date], impressions=[impressions], clicks=[clicks],
+        cost=None if cost is None else [cost],
+    )
 
 
 class TestSeriesPoint:
+    """Per-point rules, checked on the columns of a series."""
+
     def test_ctr_is_derived(self):
-        p = SeriesPoint(date=START, impressions=10_000, clicks=150)
-        assert p.ctr == 150 / 10_000
+        p = point(10_000, 150)
+        assert p.metric_values("ctr")[0] == 150 / 10_000
 
     def test_rejects_zero_impressions(self):
         with pytest.raises(InvalidInputError):
-            SeriesPoint(date=START, impressions=0, clicks=0)
+            point(0, 0)
 
     def test_rejects_clicks_above_impressions(self):
         with pytest.raises(InvalidInputError):
-            SeriesPoint(date=START, impressions=10, clicks=11)
+            point(10, 11)
 
     def test_rejects_negative_cost(self):
         with pytest.raises(InvalidInputError):
-            SeriesPoint(date=START, impressions=10, clicks=1, cost=-1.0)
+            point(10, 1, cost=-1.0)
 
     @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
     def test_rejects_non_finite_cost(self, cost):
         with pytest.raises(InvalidInputError, match="finite"):
-            SeriesPoint(date=START, impressions=10, clicks=1, cost=cost)
+            point(10, 1, cost=cost)
 
     def test_metric_selector(self):
-        p = SeriesPoint(date=START, impressions=200, clicks=30, cost=12.0)
-        assert p.metric("ctr") == 0.15
-        assert p.metric("clicks") == 30.0
-        assert p.metric("impressions") == 200.0
-        assert p.metric("cost") == 12.0
+        p = point(200, 30, cost=12.0)
+        assert p.metric_values("ctr")[0] == 0.15
+        assert p.metric_values("clicks")[0] == 30.0
+        assert p.metric_values("impressions")[0] == 200.0
+        assert p.metric_values("cost")[0] == 12.0
         with pytest.raises(InvalidInputError):
-            p.metric("cpm")
+            p.metric_values("cpm")
 
 
 class TestTimeSeries:
     def test_requires_strictly_increasing_dates(self):
-        pts = make_points([0.01, 0.02])
         with pytest.raises(InvalidInputError):
-            TimeSeries(points=(pts[1], pts[0]))
+            make_series([0.01, 0.02], [START + dt.timedelta(days=1), START])
 
     def test_requires_at_least_one_point(self):
         with pytest.raises(InvalidInputError):
-            TimeSeries(points=())
+            TimeSeries(dates=[], impressions=[], clicks=[])
 
     def test_gaps_are_permitted(self):
         dates = [START, START + dt.timedelta(days=1), START + dt.timedelta(days=5)]
-        series = TimeSeries(points=tuple(make_points([0.01, 0.02, 0.03], dates)))
+        series = make_series([0.01, 0.02, 0.03], dates)
         np.testing.assert_array_equal(series.day_offsets(), [0, 1, 5])
 
     def test_between(self):
         series = series_from_ctr([0.01] * 10)
-        pts = series.between(START + dt.timedelta(days=2), START + dt.timedelta(days=4))
-        assert len(pts) == 3
+        segments = segment_series(
+            series, [START + dt.timedelta(days=2), START + dt.timedelta(days=5)]
+        )
+        assert segments[1].n_points == 3
+
+    @pytest.mark.parametrize(
+        "column", ["dates", "impressions", "clicks", "cost"]
+    )
+    def test_rejects_columns_of_unequal_length(self, column):
+        columns = dict(dates=daily_dates(3), impressions=[100] * 3, clicks=[5] * 3, cost=[1.0] * 3)
+        columns[column] = columns[column][:2]
+        with pytest.raises(InvalidInputError, match="equal length"):
+            TimeSeries(**columns)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([(100, 5), (100, 101)], "2024-01-02: clicks must satisfy"),
+            ([(100, 5), (-1, 0)], "2024-01-02: impressions must be positive"),
+            ([(100, -1)], "2024-01-01: clicks must satisfy"),
+        ],
+    )
+    def test_error_names_the_first_bad_date(self, rows, message):
+        impressions, clicks = zip(*rows)
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            TimeSeries(dates=daily_dates(len(rows)), impressions=impressions, clicks=clicks)
+
+    def test_columns_are_read_only(self):
+        series = series_from_ctr([0.01, 0.02])
+        with pytest.raises(ValueError):
+            series.clicks[0] = 7
+
+    def test_columns_are_copied(self):
+        clicks = np.array([5, 6])
+        series = TimeSeries(dates=daily_dates(2), impressions=[100, 100], clicks=clicks)
+        clicks[0] = 99
+        assert series.clicks[0] == 5
 
 
 def make_series(values, dates=None):
-    return TimeSeries(points=tuple(make_points(values, dates)))
+    return series_from_ctr(values, impressions=100_000, dates=dates)
 
 
 def cost_series(costs, dates=None):
-    dates = dates or [START + dt.timedelta(days=i) for i in range(len(costs))]
-    points = [
-        SeriesPoint(date=d, impressions=100, clicks=5, cost=c) for d, c in zip(dates, costs)
-    ]
-    return TimeSeries(points=tuple(points), metric="cost")
+    n = len(costs)
+    return TimeSeries(
+        dates=daily_dates(n) if dates is None else dates,
+        impressions=[100] * n, clicks=[5] * n, cost=costs, metric="cost",
+    )
 
 
 class TestWindowPairs:
@@ -112,7 +148,7 @@ class TestWindowPairs:
         series = make_series([0.01] * 30, dates)
         boundaries, _, _ = pair_paths(series, 14)
         assert boundaries[0] == dates[14]
-        assert boundaries == dates[14:17]
+        assert boundaries.tolist() == dates[14:17]
 
     def test_windows_are_adjacent_and_disjoint(self):
         values = np.random.default_rng(4).permutation(np.arange(100, 140)) / 10_000
@@ -227,14 +263,15 @@ class TestCsvIO:
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
         back = read_series_csv(path)
-        assert back.points == series.points
+        for column in ("dates", "impressions", "clicks", "cost"):
+            assert np.array_equal(getattr(back, column), getattr(series, column))
 
     def test_cost_column_optional(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("date,impressions,clicks\n2024-01-01,100,5\n2024-01-02,100,7\n")
         series = read_series_csv(path)
         assert len(series) == 2
-        assert series.points[0].cost is None
+        assert series.cost is None
 
     def test_zero_impression_rows_dropped_with_warning(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -282,3 +319,26 @@ class TestCsvIO:
         path.write_text("date,impressions,clicks\n2024-01-01,10,11\n")
         with pytest.raises(CsvFormatError):
             read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "row,expected",
+        [
+            ("2024-01-03,10,11", "clicks must satisfy"),
+            ("2024-01-01,10,1", "strictly increasing"),
+            ("2024-01-03,-5,0", "impressions must be positive"),
+            ("2024-01-03,99999999999999999999,5", "64-bit"),
+        ],
+    )
+    def test_rejected_value_names_line(self, tmp_path, row, expected):
+        path = tmp_path / "s.csv"
+        path.write_text(f"date,impressions,clicks\n2024-01-01,100,5\n2024-01-02,100,5\n{row}\n")
+        with pytest.raises(CsvFormatError, match=expected) as err:
+            read_series_csv(path)
+        assert err.value.line_number == 4
+
+    def test_empty_cost_cell_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("date,impressions,clicks,cost\n2024-01-01,100,5,1.0\n2024-01-02,100,5,\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_series_csv(path)
+        assert err.value.line_number == 3
