@@ -7,6 +7,9 @@ output change is intended, and say so in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ from sigfatigue.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 METHODS = ("signature", "ma_crossover", "cusum", "rolling_regression")
+SUBCOMMANDS = ("generate", "detect", "wastage", "evaluate", "sweep")
 
 
 def write_outputs(out: Path) -> None:
@@ -40,6 +44,28 @@ def write_outputs(out: Path) -> None:
     ]
     for argv in commands:
         assert cli_main(argv) == 0, argv
+    write_help(out / "help")
+
+
+def write_help(out: Path) -> None:
+    """Write the ``--help`` text of the parser and each subcommand, 80 columns wide."""
+    out.mkdir()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        for name, argv in [("sigfatigue", []), *((c, [c]) for c in SUBCOMMANDS)]:
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                try:
+                    cli_main([*argv, "--help"])
+                except SystemExit as exc:
+                    assert exc.code == 0, argv
+            (out / f"{name}.txt").write_text(text.getvalue(), encoding="utf-8")
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
 
 
 def _files(root: Path) -> list:
