@@ -67,10 +67,10 @@ def cusum(
     recursions accumulate standardized drift beyond ``reference_k`` and
     flag (then reset) when either side exceeds ``decision_h``.
     """
-    if decision_h <= 0:
-        raise InvalidInputError(f"decision_h must be > 0, got {decision_h}")
-    if reference_k < 0:
-        raise InvalidInputError(f"reference_k must be >= 0, got {reference_k}")
+    if not 0 < decision_h < np.inf:
+        raise InvalidInputError(f"decision_h must be finite and > 0, got {decision_h}")
+    if not 0 <= reference_k < np.inf:
+        raise InvalidInputError(f"reference_k must be finite and >= 0, got {reference_k}")
     n = len(series)
     if n < 10:
         raise InsufficientDataError(f"series has {n} observations, need at least 10")

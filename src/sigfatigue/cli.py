@@ -71,79 +71,127 @@ def _manifest(item: GeneratedSeries) -> dict:
     }
 
 
-def _detector_config(args) -> DetectorConfig:
-    return DetectorConfig(
-        window=args.window,
-        depth=args.depth,
-        threshold_k=args.k,
-        alpha=args.alpha,
-        merge_gap=args.merge_gap,
-        feature_mode=args.feature_mode,
-    )
-
-
-# Defaults of the detector and method flags.  On the command line they
-# default to None, so that a flag the chosen method does not read can be
-# told apart from one left unset, and rejected.
-FLAG_DEFAULTS = {
-    "window": 14,
-    "depth": 3,
-    "k": 2.0,
-    "alpha": 0.05,
-    "merge_gap": None,
-    "feature_mode": "full",
-    "short_window": 7,
-    "long_window": 28,
-    "reference_k": 0.5,
-    "decision_h": 5.0,
+# The detector and method flags, dest -> (argparse keywords, default, the
+# parameter the flag sets, the readers that take it).  A reader is a
+# --method name or "report", the signature detection report of detect and
+# wastage, which also reads the trend tests' --alpha.  On the command line
+# each flag defaults to None, so that a flag the reader does not take can
+# be told apart from one left unset, and rejected.
+SIGNATURE_READERS = ("signature", "report")
+DETECTOR_FLAGS = {
+    "window": (
+        {"type": int, "help": "window size in observations"},
+        14, "window", (*SIGNATURE_READERS, "rolling_regression"),
+    ),
+    "depth": (
+        {"type": int, "help": "signature truncation depth"}, 3, "depth", SIGNATURE_READERS,
+    ),
+    "k": (
+        {"type": float, "help": "threshold multiplier"}, 2.0, "threshold_k", SIGNATURE_READERS,
+    ),
+    "alpha": (
+        {"type": float, "help": "trend-test significance level"},
+        0.05, "alpha", ("report", "rolling_regression"),
+    ),
+    "merge_gap": (
+        {
+            "type": int,
+            "help": "merge flags within this many days (default: window, or 0 when scoring)",
+        },
+        None, "merge_gap", SIGNATURE_READERS,
+    ),
+    "feature_mode": (
+        {
+            "choices": ("full", "log"),
+            "help": "distance features: full signature or its tensor logarithm",
+        },
+        "full", "feature_mode", SIGNATURE_READERS,
+    ),
+}
+METHOD_FLAGS = {
+    "short_window": ({"type": int}, 7, "short_window", ("ma_crossover",)),
+    "long_window": ({"type": int}, 28, "long_window", ("ma_crossover",)),
+    "reference_k": ({"type": float}, 0.5, "reference_k", ("cusum",)),
+    "decision_h": ({"type": float}, 5.0, "decision_h", ("cusum",)),
 }
 
-# Each method's parameters and the flag that sets each one.
-METHOD_PARAMS = {
-    "signature": {
-        "window": "window",
-        "depth": "depth",
-        "threshold_k": "k",
-        "feature_mode": "feature_mode",
-        "merge_gap": "merge_gap",
-    },
-    "ma_crossover": {"short_window": "short_window", "long_window": "long_window"},
-    "cusum": {"reference_k": "reference_k", "decision_h": "decision_h"},
-    "rolling_regression": {"window": "window", "alpha": "alpha"},
+
+def int_list(text: str) -> list:
+    """Comma-separated integers; empty items are skipped."""
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def float_list(text: str) -> list:
+    """Comma-separated floats; empty items are skipped."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def iso_date(text: str) -> dt.date:
+    return dt.date.fromisoformat(text)
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+# Pattern-spec flags, dest -> (argparse keywords, the PatternSpec field
+# the flag sets).  Unset, the field keeps its default or sampled value.
+SPEC_FLAGS = {
+    "baseline_ctr": ({"type": float}, "baseline_ctr"),
+    "weekly_decay": ({"type": float}, "weekly_decay_rate"),
+    "noise_cv": ({"type": float}, "noise_cv"),
+    "duration": ({"type": int}, "duration_days"),
+    "impressions_mean": ({"type": int}, "impressions_mean"),
+    "gap_fraction": ({"type": float}, "gap_fraction"),
+    "drop_factor": ({"type": float}, "drop_factor"),
+    "n_stages": ({"type": int}, "n_stages"),
+    "stage_drop": ({"type": float}, "stage_drop"),
+    "base_kind": ({"choices": PATTERN_KINDS}, "base_kind"),
+    "change_days": (
+        {
+            "type": int_list,
+            "help": "comma-separated ground-truth change days (overrides defaults)",
+        },
+        "change_days",
+    ),
+    "start_date": ({"type": iso_date, "help": "first day, ISO format"}, "start_date"),
 }
 
-# Flags a signature detection report reads: the method's parameters plus
-# the significance level of the segment trend tests.
-DETECTOR_FLAGS = (*METHOD_PARAMS["signature"].values(), "alpha")
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _resolve_flags(args, reads) -> None:
-    """Fill in the defaults of the flags in ``reads``; reject other given flags."""
-    for dest, default in FLAG_DEFAULTS.items():
-        if dest in reads:
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-        elif getattr(args, dest, None) is not None:
-            raise ConfigurationError(
-                f"--{dest.replace('_', '-')} is not read by --method {args.method}"
-            )
+def _add_flags(parser, table) -> None:
+    for dest, (kwargs, *_) in table.items():
+        parser.add_argument(_flag(dest), **kwargs)
 
 
-def _add_detector_flags(parser) -> None:
-    parser.add_argument("--window", type=int, default=None, help="window size in observations")
-    parser.add_argument("--depth", type=int, default=None, help="signature truncation depth")
-    parser.add_argument("--k", type=float, default=None, help="threshold multiplier")
-    parser.add_argument("--alpha", type=float, default=None, help="trend-test significance level")
-    parser.add_argument(
-        "--merge-gap",
-        type=int,
-        default=None,
-        help="merge flags within this many days (default: window, or 0 when scoring)",
-    )
-    parser.add_argument(
-        "--feature-mode", choices=("full", "log"), default=None,
-        help="distance features: full signature or its tensor logarithm",
-    )
+def _params(args, reader: str) -> dict:
+    """The parameters ``reader`` takes from the detector and method flags.
+
+    An unset flag takes its default; an unset ``--merge-gap`` is left out,
+    so the method keeps its own.  A given flag ``reader`` does not take
+    raises ConfigurationError.
+    """
+    params = {}
+    for dest, (_, default, param, readers) in {**DETECTOR_FLAGS, **METHOD_FLAGS}.items():
+        value = getattr(args, dest, None)
+        if reader in readers:
+            value = default if value is None else value
+            if value is not None:
+                params[param] = value
+        elif value is not None:
+            raise ConfigurationError(f"{_flag(dest)} is not read by --method {args.method}")
+    return params
+
+
+def _add_analysis_flags(parser) -> None:
+    """The detector flags and the metric, read by every command that detects."""
+    _add_flags(parser, DETECTOR_FLAGS)
     parser.add_argument("--metric", default="ctr", help="series column to analyse")
 
 
@@ -154,27 +202,7 @@ def _add_method_flags(parser) -> None:
         choices=sorted(METHODS),
         help="detector to run; non-signature methods report bare change dates",
     )
-    parser.add_argument("--short-window", type=int, default=None)
-    parser.add_argument("--long-window", type=int, default=None)
-    parser.add_argument("--reference-k", type=float, default=None)
-    parser.add_argument("--decision-h", type=float, default=None)
-
-
-# Pattern-spec flags and the PatternSpec field each one sets.
-SPEC_FLAGS = {
-    "baseline_ctr": "baseline_ctr",
-    "weekly_decay": "weekly_decay_rate",
-    "noise_cv": "noise_cv",
-    "duration": "duration_days",
-    "impressions_mean": "impressions_mean",
-    "gap_fraction": "gap_fraction",
-    "drop_factor": "drop_factor",
-    "n_stages": "n_stages",
-    "stage_drop": "stage_drop",
-    "base_kind": "base_kind",
-    "change_days": "change_days",
-    "start_date": "start_date",
-}
+    _add_flags(parser, METHOD_FLAGS)
 
 
 def _add_pattern_flags(parser, corpus: bool = False) -> None:
@@ -185,38 +213,16 @@ def _add_pattern_flags(parser, corpus: bool = False) -> None:
     group.add_argument("--pattern", choices=PATTERN_KINDS, help="pattern kind")
     group.add_argument("--all", action="store_true", help="every pattern kind")
     parser.add_argument("--n", type=int, default=None, help="series per pattern (default 1)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--baseline-ctr", type=float, default=None)
-    parser.add_argument("--weekly-decay", type=float, default=None)
-    parser.add_argument("--noise-cv", type=float, default=None)
-    parser.add_argument("--duration", type=int, default=None)
-    parser.add_argument("--impressions-mean", type=int, default=None)
-    parser.add_argument("--gap-fraction", type=float, default=None)
-    parser.add_argument("--drop-factor", type=float, default=None)
-    parser.add_argument("--n-stages", type=int, default=None)
-    parser.add_argument("--stage-drop", type=float, default=None)
-    parser.add_argument("--base-kind", choices=PATTERN_KINDS, default=None)
-    parser.add_argument(
-        "--change-days", default=None,
-        help="comma-separated ground-truth change days (overrides defaults)",
-    )
-    parser.add_argument("--start-date", default=None, help="first day, ISO format")
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
+    _add_flags(parser, SPEC_FLAGS)
 
 
 def _pattern_overrides(args) -> dict:
-    overrides = {
+    return {
         field: getattr(args, dest)
-        for dest, field in SPEC_FLAGS.items()
+        for dest, (_, field) in SPEC_FLAGS.items()
         if getattr(args, dest) is not None
     }
-    # two flags arrive as text
-    if "change_days" in overrides:
-        overrides["change_days"] = tuple(
-            int(d) for d in str(overrides["change_days"]).split(",") if d.strip()
-        )
-    if "start_date" in overrides:
-        overrides["start_date"] = dt.date.fromisoformat(overrides["start_date"])
-    return overrides
 
 
 def _series_per_pattern(args) -> int:
@@ -236,9 +242,7 @@ def _corpus(args) -> list:
         )
     for dest in ("n", *SPEC_FLAGS):
         if getattr(args, dest) is not None:
-            raise ConfigurationError(
-                f"--{dest.replace('_', '-')} does not apply to --corpus"
-            )
+            raise ConfigurationError(f"{_flag(dest)} does not apply to --corpus")
     return _load_corpus(args.corpus)
 
 
@@ -249,17 +253,20 @@ def _load_corpus(directory: str) -> list:
         raise InvalidInputError(f"no *.manifest.json files found in {directory}")
     corpus = []
     for mpath in manifests:
-        data = json.loads(mpath.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(mpath.read_text(encoding="utf-8"))
+            spec = PatternSpec(
+                **{**data["spec"], "start_date": iso_date(data["spec"]["start_date"])}
+            )
+            truth = GroundTruth(change_days=data["ground_truth"]["change_days"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidInputError(
+                f"malformed manifest {mpath}: {type(exc).__name__}: {exc}"
+            ) from None
         csv_path = mpath.with_name(mpath.name.replace(".manifest.json", ".csv"))
         if not csv_path.exists():
             raise InvalidInputError(f"missing series file {csv_path}")
         series = read_series_csv(csv_path)
-        spec_dict = dict(data["spec"])
-        spec_dict["start_date"] = dt.date.fromisoformat(spec_dict["start_date"])
-        if spec_dict.get("change_days") is not None:
-            spec_dict["change_days"] = tuple(spec_dict["change_days"])
-        spec = PatternSpec(**spec_dict)
-        truth = GroundTruth(change_days=tuple(data["ground_truth"]["change_days"]))
         corpus.append(GeneratedSeries(spec=spec, series=series, truth=truth))
     return corpus
 
@@ -293,13 +300,9 @@ def cmd_generate(args) -> int:
 def cmd_detect(args) -> int:
     if args.plot and args.method != "signature":
         raise ConfigurationError("--plot needs --method signature")
-    _resolve_flags(
-        args,
-        DETECTOR_FLAGS if args.method == "signature" else METHOD_PARAMS[args.method].values(),
-    )
+    params = _params(args, "report" if args.method == "signature" else args.method)
     series = read_series_csv(args.input, metric=args.metric)
     if args.method != "signature":
-        params = _method_params(args)
         dates = make_method(args.method, **params)(series)
         _dump_json(
             {
@@ -311,8 +314,7 @@ def cmd_detect(args) -> int:
             args.out,
         )
         return 0
-    cfg = _detector_config(args)
-    report = detect(series, cfg)
+    report = detect(series, DetectorConfig(**params))
     payload = {"method": "signature", **report.to_dict()}
     _dump_json(payload, args.out)
     if args.plot:
@@ -322,37 +324,24 @@ def cmd_detect(args) -> int:
 
 
 def cmd_wastage(args) -> int:
-    _resolve_flags(args, DETECTOR_FLAGS)
+    params = _params(args, "report")
     series = read_series_csv(args.input, metric=args.metric)
-    cfg = _detector_config(args)
-    report = detect(series, cfg)
-    wreport = compute_wastage(series, report.segments, cpc=args.cpc)
-    _dump_json(wreport.to_dict(), args.out)
+    report = detect(series, DetectorConfig(**params))
+    payload = compute_wastage(series, report.segments, cpc=args.cpc).to_dict()
+    _dump_json(payload, args.out)
     if args.daily_csv:
-        lines = ["date,lost_clicks,wastage"]
-        for d in wreport.daily:
-            lines.append(f"{d.date.isoformat()},{d.lost_clicks!r},{d.wastage!r}")
+        lines = ["date,lost_clicks,wastage"] + [
+            f"{d['date']},{d['lost_clicks']!r},{d['wastage']!r}" for d in payload["daily"]
+        ]
         Path(args.daily_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
-def _method_params(args) -> dict:
-    # after _resolve_flags only an unset --merge-gap is None; the method
-    # then keeps its own default
-    return {
-        name: getattr(args, dest)
-        for name, dest in METHOD_PARAMS[args.method].items()
-        if getattr(args, dest) is not None
-    }
-
-
 def cmd_evaluate(args) -> int:
-    _resolve_flags(args, METHOD_PARAMS[args.method].values())
-    corpus = _corpus(args)
+    params = _params(args, args.method)
     corpus = [
-        replace(item, series=replace(item.series, metric=args.metric)) for item in corpus
+        replace(item, series=replace(item.series, metric=args.metric)) for item in _corpus(args)
     ]
-    params = _method_params(args)
     policy = MatchPolicy(tolerance_days=args.tolerance)
     _, pooled = evaluate_corpus(
         corpus, make_method(args.method, **params), policy, seed=args.seed
@@ -369,21 +358,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> list:
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
-def _parse_ints(text: str) -> list:
-    return [int(v) for v in str(text).split(",") if v.strip()]
-
-
 def cmd_sweep(args) -> int:
     corpus = _corpus(args)
-    grid = {
-        "window": _parse_ints(args.windows),
-        "threshold_k": _parse_floats(args.ks),
-        "depth": _parse_ints(args.depths),
-    }
+    grid = {"window": args.windows, "threshold_k": args.ks, "depth": args.depths}
     rows = sensitivity_report(
         corpus,
         grid,
@@ -420,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="change point report for a series CSV")
     p_det.add_argument("input", help="input CSV (date,impressions,clicks[,cost])")
-    _add_detector_flags(p_det)
+    _add_analysis_flags(p_det)
     _add_method_flags(p_det)
     p_det.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p_det.add_argument("--plot", default=None, help="also write an SVG plot here")
@@ -428,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_was = sub.add_parser("wastage", help="financial wastage report for a series CSV")
     p_was.add_argument("input", help="input CSV")
-    _add_detector_flags(p_was)
+    _add_analysis_flags(p_was)
     p_was.add_argument("--cpc", type=float, default=None, help="cost per click override")
     p_was.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p_was.add_argument("--daily-csv", default=None, help="write daily rows here")
@@ -437,16 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a method against ground truth")
     _add_pattern_flags(p_eval, corpus=True)
     _add_method_flags(p_eval)
-    _add_detector_flags(p_eval)
+    _add_analysis_flags(p_eval)
     p_eval.add_argument("--tolerance", type=int, default=3, help="match tolerance in days")
     p_eval.add_argument("--out", default=None, help="metrics JSON path (default stdout)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="signature metrics over a parameter grid")
     _add_pattern_flags(p_sweep, corpus=True)
-    p_sweep.add_argument("--windows", default="7,14,21")
-    p_sweep.add_argument("--ks", default="1.5,2.0,2.5")
-    p_sweep.add_argument("--depths", default="3")
+    p_sweep.add_argument("--windows", type=int_list, default="7,14,21")
+    p_sweep.add_argument("--ks", type=float_list, default="1.5,2.0,2.5")
+    p_sweep.add_argument("--depths", type=int_list, default="3")
     p_sweep.add_argument("--tolerance", type=int, default=3)
     p_sweep.add_argument("--bootstrap", type=int, default=100)
     p_sweep.add_argument("--out", default=None, help="rows JSON path (default stdout)")
@@ -457,14 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SigFatigueError as exc:
+    except (SigFatigueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

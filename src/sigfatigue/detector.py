@@ -69,8 +69,8 @@ class DetectorConfig:
             raise InvalidInputError(f"window must be >= 2, got {self.window}")
         if self.depth < 1:
             raise InvalidInputError(f"depth must be >= 1, got {self.depth}")
-        if not self.threshold_k > 0:
-            raise InvalidInputError(f"threshold_k must be > 0, got {self.threshold_k}")
+        if not 0 < self.threshold_k < np.inf:
+            raise InvalidInputError(f"threshold_k must be finite and > 0, got {self.threshold_k}")
         if not 0 < self.alpha < 1:
             raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.merge_gap is not None and self.merge_gap < 0:

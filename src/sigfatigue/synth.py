@@ -123,6 +123,8 @@ class PatternSpec:
         lo, hi = DURATION_RANGE
         if not lo <= self.duration_days <= hi:
             v.append(f"duration_days {self.duration_days} outside [{lo}, {hi}]")
+        elif self.start_date > dt.date.max - dt.timedelta(days=self.duration_days - 1):
+            v.append(f"start_date {self.start_date} leaves fewer than {self.duration_days} days")
         if self.impressions_mean < 1:
             v.append(f"impressions_mean {self.impressions_mean} must be >= 1")
         if not 0.0 <= self.gap_fraction < 1.0:

@@ -9,16 +9,16 @@ and carried through from the input.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .detector import Segment
 from .errors import ConfigurationError, InvalidInputError
 from .windowing import TimeSeries
 
 __all__ = [
-    "DailyWastage",
     "WastageReport",
     "select_benchmark",
     "lost_clicks",
@@ -26,20 +26,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DailyWastage:
-    date: dt.date
-    lost_clicks: float
-    wastage: float
+DAILY_DTYPE = np.dtype(
+    [("date", "datetime64[D]"), ("lost_clicks", float), ("wastage", float)]
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WastageReport:
+    """A wastage result; ``daily`` is a ``DAILY_DTYPE`` array with one
+    (date, lost_clicks, wastage) record per day after the benchmark."""
+
     benchmark: Segment
     benchmark_is_fallback: bool
     ctr_benchmark: float
     cpc_benchmark: float
-    daily: tuple
+    daily: np.ndarray
     total_wastage: float
 
     def to_dict(self) -> dict:
@@ -55,8 +56,12 @@ class WastageReport:
             "ctr_benchmark": self.ctr_benchmark,
             "cpc_benchmark": self.cpc_benchmark,
             "daily": [
-                {"date": d.date.isoformat(), "lost_clicks": d.lost_clicks, "wastage": d.wastage}
-                for d in self.daily
+                {"date": d, "lost_clicks": n, "wastage": w}
+                for d, n, w in zip(
+                    np.datetime_as_string(self.daily["date"]).tolist(),
+                    self.daily["lost_clicks"].tolist(),
+                    self.daily["wastage"].tolist(),
+                )
             ],
             "total_wastage": self.total_wastage,
         }
@@ -134,17 +139,22 @@ def compute_wastage(
     cpc_bench = _benchmark_cpc(series, slice(lo, hi), cpc)
 
     # lost_clicks for every day after the benchmark at once
-    lost = (ctr_bench - ctr[hi:]).clip(min=0.0) * series.impressions[hi:]
-    wastage = lost * cpc_bench
-    daily = tuple(
-        DailyWastage(date=d, lost_clicks=n, wastage=w)
-        for d, n, w in zip(series.dates[hi:].tolist(), lost.tolist(), wastage.tolist())
-    )
+    daily = np.empty(len(series) - hi, dtype=DAILY_DTYPE)
+    daily["date"] = series.dates[hi:]
+    daily["lost_clicks"] = (ctr_bench - ctr[hi:]).clip(min=0.0) * series.impressions[hi:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        daily["wastage"] = daily["lost_clicks"] * cpc_bench
+    try:
+        total = math.fsum(daily["wastage"].tolist())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(cpc_bench + total):
+        raise InvalidInputError("wastage overflows the float range; check cost and cpc")
     return WastageReport(
         benchmark=benchmark,
         benchmark_is_fallback=fallback,
         ctr_benchmark=ctr_bench,
         cpc_benchmark=cpc_bench,
         daily=daily,
-        total_wastage=math.fsum(wastage.tolist()),
+        total_wastage=total,
     )

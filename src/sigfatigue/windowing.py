@@ -188,7 +188,10 @@ def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
     Zero-impression rows are skipped with a warning.
     """
     lines, ordinals, impressions, clicks, costs = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as handle:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which neither
+    # the header check nor any cell parser accepts, so it is reported as a
+    # CsvFormatError naming its line
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

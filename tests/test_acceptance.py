@@ -170,7 +170,7 @@ def test_c08_wastage_exactness():
     from sigfatigue.detector import segment_series
 
     report = compute_wastage(series, segment_series(series, [day(31)]), cpc=1.25)
-    assert report.daily[0].wastage == pytest.approx(1250.0, rel=1e-12)
+    assert report.daily["wastage"][0] == pytest.approx(1250.0, rel=1e-12)
     ok("c08 wastage-daily-1250")
 
 

@@ -72,6 +72,13 @@ class TestCusum:
         with pytest.raises(InvalidInputError):
             cusum(series_from_ctr([0.02] * 30), decision_h=0.0)
 
+    @pytest.mark.parametrize("param", ["reference_k", "decision_h"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_parameter_rejected(self, param, value):
+        series = series_from_ctr([0.02] * 15 + [0.01] * 15)
+        with pytest.raises(InvalidInputError, match=param):
+            cusum(series, **{param: value})
+
 
 class TestRollingRegression:
     def test_constant_series_no_flags(self):

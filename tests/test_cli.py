@@ -364,3 +364,60 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Invocations that once ended in a traceback; each must exit 2.  Paths:
+# {csv} a valid series, {corpus} a directory of generated series, {file}
+# an existing file, {missing} a path that does not exist, {latin1} a CSV
+# with a byte that is not UTF-8, {truncated} and {specless} corpora with
+# one broken manifest.
+BAD_INVOCATIONS = [
+    ["sweep", "--pattern", "sharp_drop", "--windows", "abc"],
+    ["generate", "--pattern", "sharp_drop", "--change-days", "x,y", "--out", "{missing}"],
+    ["generate", "--pattern", "sharp_drop", "--start-date", "2024-13-01", "--out", "{missing}"],
+    ["evaluate", "--pattern", "sharp_drop", "--seed", "-1"],
+    ["detect", "{csv}", "--k", "inf"],
+    ["evaluate", "--pattern", "sharp_drop", "--n", "1", "--duration", "60", "--k", "inf"],
+    ["sweep", "--pattern", "sharp_drop", "--n", "1", "--duration", "60", "--ks", "inf"],
+    ["detect", "{csv}", "--method", "cusum", "--decision-h", "inf"],
+    ["detect", "{csv}", "--method", "cusum", "--decision-h", "nan"],
+    ["detect", "{csv}", "--method", "cusum", "--reference-k", "nan"],
+    ["detect", "{missing}"],
+    ["detect", "{csv}", "--out", "{missing}/x.json"],
+    ["generate", "--pattern", "sharp_drop", "--out", "{file}"],
+    ["detect", "{latin1}"],
+    ["evaluate", "--corpus", "{truncated}"],
+    ["evaluate", "--corpus", "{specless}"],
+    ["wastage", "{csv}", "--cpc", "1e306"],
+    ["generate", "--pattern", "sharp_drop", "--start-date", "9999-12-01", "--out", "{missing}"],
+]
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    csv_path, manifest_path = gen_fixture(tmp_path, extra=("--noise-cv", "0.1"))
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"date,impressions,clicks\n2024-01-01,100,5\n2024-01-02,1\xff0,5\n")
+    paths = {"csv": csv_path, "file": manifest_path, "missing": tmp_path / "missing",
+             "latin1": latin1}
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["spec"]
+    for name, text in [("truncated", manifest_path.read_text()[:40]),
+                       ("specless", json.dumps(manifest))]:
+        paths[name] = tmp_path / name
+        paths[name].mkdir()
+        (paths[name] / "s.csv").write_bytes(csv_path.read_bytes())
+        (paths[name] / "s.manifest.json").write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS, ids=" ".join)
+def test_bad_invocation_exits_2(bad_inputs, capsys, argv):
+    try:
+        code = main([arg.format(**bad_inputs) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1 or "usage:" in err, err
+    assert "Traceback" not in err

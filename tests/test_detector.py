@@ -51,6 +51,11 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             DetectorConfig(**kwargs)
 
+    @pytest.mark.parametrize("k", [float("inf"), float("nan")])
+    def test_threshold_k_must_be_finite(self, k):
+        with pytest.raises(InvalidInputError, match="threshold_k"):
+            DetectorConfig(threshold_k=k)
+
 
 class TestDistanceSeries:
     def test_constant_series_all_zero(self, constant_series):

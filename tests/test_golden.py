@@ -48,7 +48,11 @@ def write_outputs(out: Path) -> None:
 
 
 def write_help(out: Path) -> None:
-    """Write the ``--help`` text of the parser and each subcommand, 80 columns wide."""
+    """Write the ``--help`` text of the parser and each subcommand, 80 columns wide.
+
+    The layout is argparse's as of Python 3.11, which recorded the copies;
+    other versions word and wrap help differently.
+    """
     out.mkdir()
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"

@@ -41,6 +41,14 @@ class TestValidation:
         spec = PatternSpec(kind="sharp_drop", duration_days=60, change_days=(80,))
         assert spec.validate()
 
+    def test_series_must_end_by_the_last_date(self):
+        fits = PatternSpec(kind="sharp_drop", duration_days=60,
+                           start_date=dt.date.max - dt.timedelta(days=59))
+        assert fits.validate() == []
+        late = PatternSpec(kind="sharp_drop", duration_days=60,
+                           start_date=dt.date.max - dt.timedelta(days=58))
+        assert any("start_date" in v for v in late.validate())
+
 
 class TestCleanForms:
     def test_sharp_drop_step(self):

@@ -80,8 +80,8 @@ def test_daily_rows_equal_per_day_lost_clicks():
         lost_clicks(report.ctr_benchmark, float(c), int(i))
         for c, i in zip(ctr[25:], series.impressions[25:])
     ]
-    assert [d.lost_clicks for d in report.daily] == expected
-    assert [d.wastage for d in report.daily] == [n * report.cpc_benchmark for n in expected]
+    assert report.daily["lost_clicks"].tolist() == expected
+    assert report.daily["wastage"].tolist() == [n * report.cpc_benchmark for n in expected]
     assert report.cpc_benchmark == sum(series.cost[:25].tolist()) / int(series.clicks[:25].sum())
 
 
@@ -96,35 +96,41 @@ class TestComputeWastage:
     def test_documented_daily_arithmetic(self):
         series = self.build()
         report = compute_wastage(series, self.segments(), cpc=1.25)
-        assert report.daily[0].lost_clicks == pytest.approx(1000.0, rel=1e-12)
-        assert report.daily[0].wastage == pytest.approx(1250.0, rel=1e-12)
+        assert report.daily["lost_clicks"][0] == pytest.approx(1000.0, rel=1e-12)
+        assert report.daily["wastage"][0] == pytest.approx(1250.0, rel=1e-12)
         assert report.total_wastage == pytest.approx(30 * 1250.0, rel=1e-12)
 
     def test_no_shortfall_means_zero_total(self):
         series = self.build(post_ctr=0.02)
         report = compute_wastage(series, self.segments(), cpc=1.25)
         assert report.total_wastage == 0.0
-        assert all(d.lost_clicks == 0.0 for d in report.daily)
+        assert all(n == 0.0 for n in report.daily["lost_clicks"].tolist())
 
     def test_sum_of_daily(self):
         series = series_from_ctr([0.02] * 30 + [0.015, 0.017] , impressions=10_000)
         segments = [seg(1, 30, "stable", 0.02), seg(31, 32, "stable", 0.016)]
         report = compute_wastage(series, segments, cpc=2.0)
         assert report.total_wastage == pytest.approx(
-            sum(d.wastage for d in report.daily), abs=1e-9
+            sum(report.daily["wastage"].tolist()), abs=1e-9
         )
-        assert report.daily[0].wastage == pytest.approx((0.02 - 0.015) * 10_000 * 2.0)
+        assert report.daily["wastage"][0] == pytest.approx((0.02 - 0.015) * 10_000 * 2.0)
 
     def test_daily_rows_strictly_after_benchmark(self):
         series = self.build()
         report = compute_wastage(series, self.segments(), cpc=1.0)
         assert len(report.daily) == 30
-        assert all(d.date > report.benchmark.end_date for d in report.daily)
+        assert all(d > report.benchmark.end_date for d in report.daily["date"].tolist())
 
     def test_cost_column_yields_cpc(self):
         series = self.build(cost_per_click=1.25)
         report = compute_wastage(series, self.segments())
         assert report.cpc_benchmark == pytest.approx(1.25, rel=1e-12)
+
+    @pytest.mark.parametrize("cpc, cost_per_click", [(1e306, None), (None, 1e304)])
+    def test_overflowing_wastage_rejected(self, cpc, cost_per_click):
+        series = self.build(cost_per_click=cost_per_click)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            compute_wastage(series, self.segments(), cpc=cpc)
 
     def test_explicit_cpc_required_without_cost(self):
         series = self.build()
