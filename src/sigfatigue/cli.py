@@ -47,9 +47,7 @@ from .synth import (
     generate_batch,
 )
 from .wastage import compute_wastage
-from .windowing import read_series_csv, write_series_csv
-
-SCHEMA_VERSION = 1
+from .windowing import SCHEMA_VERSION, read_series_csv, write_series_csv
 
 
 def _dump_json(obj, path: str | None) -> None:
@@ -58,6 +56,17 @@ def _dump_json(obj, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_table(rows, columns, path: str) -> None:
+    """Write dict rows as CSV: None is an empty cell, a str is written as
+    it is and any other value as its repr."""
+
+    def cell(value) -> str:
+        return "" if value is None else value if isinstance(value, str) else repr(value)
+
+    lines = [",".join(columns)] + [",".join(cell(row[c]) for c in columns) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _manifest(item: GeneratedSeries) -> dict:
@@ -327,13 +336,11 @@ def cmd_wastage(args) -> int:
     params = _params(args, "report")
     series = read_series_csv(args.input, metric=args.metric)
     report = detect(series, DetectorConfig(**params))
-    payload = compute_wastage(series, report.segments, cpc=args.cpc).to_dict()
+    wastage = compute_wastage(series, report.segments, cpc=args.cpc)
+    payload = wastage.to_dict()
     _dump_json(payload, args.out)
     if args.daily_csv:
-        lines = ["date,lost_clicks,wastage"] + [
-            f"{d['date']},{d['lost_clicks']!r},{d['wastage']!r}" for d in payload["daily"]
-        ]
-        Path(args.daily_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(payload["daily"], wastage.daily.dtype.names, args.daily_csv)
     return 0
 
 
@@ -370,15 +377,7 @@ def cmd_sweep(args) -> int:
     )
     _dump_json({"schema_version": SCHEMA_VERSION, "rows": rows}, args.out)
     if args.csv:
-        cols = [
-            "window", "threshold_k", "depth",
-            "precision", "recall", "f1", "mean_delay_days",
-            "n_detected", "n_true", "n_matched",
-        ]
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join("" if row[c] is None else repr(row[c]) for c in cols))
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(rows, [c for c in rows[0] if c != "ci"], args.csv)
     return 0
 
 

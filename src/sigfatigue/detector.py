@@ -26,7 +26,7 @@ from scipy import special
 
 from .errors import InvalidInputError
 from .sigcore import batch_signature
-from .windowing import TimeSeries, pair_paths
+from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict, pair_paths
 
 __all__ = [
     "DetectorConfig",
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 FEATURE_MODES = ("full", "log")
+# a depth-d signature of a planar path has 2^(d+1) - 2 terms, so each
+# level roughly doubles the kernel's work
+MAX_DEPTH = 8
 DISTANCE_DTYPE = np.dtype([("date", "datetime64[D]"), ("distance", float)])
 
 
@@ -49,10 +52,11 @@ DISTANCE_DTYPE = np.dtype([("date", "datetime64[D]"), ("distance", float)])
 class DetectorConfig:
     """Detection parameters.
 
-    ``window`` is counted in observations.  ``threshold_k`` scales the
-    flagging threshold mean + k * std.  ``merge_gap`` is the maximum
-    day spacing at which exceedance flags are absorbed into a single
-    change point; ``None`` means "same as window", 0 disables merging.
+    ``window`` is counted in observations and ``depth`` is at most
+    ``MAX_DEPTH``.  ``threshold_k`` scales the flagging threshold
+    mean + k * std.  ``merge_gap`` is the maximum day spacing at which
+    exceedance flags are absorbed into a single change point; ``None``
+    means "same as window", 0 disables merging.
     ``feature_mode`` selects the full signature vector or its tensor
     logarithm as the feature fed to the distance.
     """
@@ -67,8 +71,8 @@ class DetectorConfig:
     def __post_init__(self):
         if self.window < 2:
             raise InvalidInputError(f"window must be >= 2, got {self.window}")
-        if self.depth < 1:
-            raise InvalidInputError(f"depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise InvalidInputError(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
         if not 0 < self.threshold_k < np.inf:
             raise InvalidInputError(f"threshold_k must be finite and > 0, got {self.threshold_k}")
         if not 0 < self.alpha < 1:
@@ -85,14 +89,7 @@ class DetectorConfig:
         return self.window if self.merge_gap is None else self.merge_gap
 
     def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "depth": self.depth,
-            "threshold_k": self.threshold_k,
-            "alpha": self.alpha,
-            "merge_gap": self.effective_merge_gap,
-            "feature_mode": self.feature_mode,
-        }
+        return {**_record_dict(self), "merge_gap": self.effective_merge_gap}
 
 
 @dataclass(frozen=True)
@@ -129,39 +126,12 @@ class ChangePointReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            **_record_dict(self),
+            "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
-            "metric": self.metric,
-            "mean_distance": self.mean_distance,
-            "std_distance": self.std_distance,
-            "threshold": self.threshold,
-            "distances": [
-                {"date": d, "distance": v}
-                for d, v in zip(
-                    np.datetime_as_string(self.distances["date"]).tolist(),
-                    self.distances["distance"].tolist(),
-                )
-            ],
-            "change_points": [
-                {
-                    "date": c.date.isoformat(),
-                    "distance": c.distance,
-                    "threshold": c.threshold,
-                }
-                for c in self.change_points
-            ],
-            "segments": [
-                {
-                    "start_date": s.start_date.isoformat(),
-                    "end_date": s.end_date.isoformat(),
-                    "trend": s.trend,
-                    "slope": s.slope,
-                    "p_value": s.p_value,
-                    "mean_metric": s.mean_metric,
-                    "n_points": s.n_points,
-                }
-                for s in self.segments
-            ],
+            "distances": _array_dicts(self.distances),
+            "change_points": [_record_dict(c) for c in self.change_points],
+            "segments": [_record_dict(s) for s in self.segments],
         }
 
 

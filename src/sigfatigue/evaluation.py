@@ -29,6 +29,7 @@ import numpy as np
 from . import baselines
 from .detector import DetectorConfig, distance_series, flag_change_points
 from .errors import InvalidInputError
+from .windowing import _record_dict
 
 __all__ = [
     "MatchPolicy",
@@ -44,6 +45,14 @@ __all__ = [
     "grid_search",
     "sensitivity_report",
 ]
+
+# bootstrap_ci draws an (n_boot, n_series) index array in one call
+MAX_BOOTSTRAP = 10_000
+
+
+def _check_n_boot(n_boot: int) -> None:
+    if not 0 <= n_boot <= MAX_BOOTSTRAP:
+        raise InvalidInputError(f"n_boot must be in [0, {MAX_BOOTSTRAP}], got {n_boot}")
 
 
 @dataclass(frozen=True)
@@ -72,17 +81,11 @@ class EvalMetrics:
     ci: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "mean_delay_days": self.mean_delay_days,
-            "n_detected": self.n_detected,
-            "n_true": self.n_true,
-            "n_matched": self.n_matched,
-        }
-        if self.ci is not None:
-            out["ci"] = self.ci
+        """The metrics without ``delays``, and without ``ci`` when unset."""
+        out = _record_dict(self)
+        del out["delays"]
+        if self.ci is None:
+            del out["ci"]
         return out
 
 
@@ -151,18 +154,20 @@ def pool_scores(scores) -> EvalMetrics:
 def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) -> dict:
     """Percentile bootstrap over series for each pooled metric.
 
-    All resamples are drawn in one call, which yields the same index
-    stream as one draw per resample, and each is pooled from per-series
-    counts exactly as ``pool_scores`` pools it: delays are whole days,
-    so their sums are exact integers.
+    ``n_boot`` is from 0 to ``MAX_BOOTSTRAP``.  All resamples are drawn
+    in one call, which yields the same index stream as one draw per
+    resample, and each is pooled from per-series counts exactly as
+    ``pool_scores`` pools it: delays are whole days, so their sums are
+    exact integers.
     """
     scores = list(scores)
     if len(scores) < 2:
         raise InvalidInputError("bootstrap needs at least 2 series")
     if not 0 < level < 1:
         raise InvalidInputError(f"level must be in (0, 1), got {level}")
+    _check_n_boot(n_boot)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(scores), size=(max(n_boot, 0), len(scores)))
+    idx = rng.integers(0, len(scores), size=(n_boot, len(scores)))
     counts = np.array(
         [[s.n_detected, s.n_true, s.n_matched, len(s.delays), sum(s.delays)] for s in scores]
     )
@@ -245,6 +250,7 @@ def evaluate_corpus(
     ``method`` is a registry name or a callable.  Returns
     (per-series scores, pooled EvalMetrics with bootstrap intervals).
     """
+    _check_n_boot(n_boot)
     run = make_method(method) if isinstance(method, str) else method
     per_series = []
     for item in corpus:
@@ -277,6 +283,7 @@ def _grid_rows(method: str, grid: dict, corpus, policy, n_boot: int, seed: int) 
     """(params, pooled metrics) for every grid cell, in lexicographic order."""
     if not grid or not any(len(v) for v in grid.values()):
         raise InvalidInputError("parameter grid must be non-empty")
+    _check_n_boot(n_boot)
     corpus = list(corpus)
     if not corpus:
         raise InvalidInputError("corpus must be non-empty")
@@ -359,11 +366,6 @@ def sensitivity_report(
         grid = {"window": [7, 14, 21], "threshold_k": [1.5, 2.0, 2.5], "depth": [3]}
     rows = []
     for params, pooled in _grid_rows("signature", grid, corpus, policy, n_boot, seed):
-        row = {
-            "window": params.get("window"),
-            "threshold_k": params.get("threshold_k"),
-            "depth": params.get("depth"),
-        }
-        row.update(pooled.to_dict())
-        rows.append(row)
+        row = {name: params.get(name) for name in ("window", "threshold_k", "depth")}
+        rows.append({**row, **pooled.to_dict()})
     return rows

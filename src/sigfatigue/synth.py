@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PatternSpecError
-from .windowing import TimeSeries
+from .windowing import TimeSeries, _record_dict
 
 __all__ = [
     "PATTERN_KINDS",
@@ -77,6 +77,9 @@ VOLATILE_NOISE_CV = NOISE_CV_RANGE[1]
 RECOVERY_LEVEL = 0.7
 DECAY_FLOOR = 0.1
 IMPRESSIONS_CV = 0.2
+# impressions are drawn as floats, and a float64 holds every integer only
+# up to 2**53
+MAX_IMPRESSIONS_MEAN = 2**53
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,8 @@ class PatternSpec:
             v.append(f"duration_days {self.duration_days} outside [{lo}, {hi}]")
         elif self.start_date > dt.date.max - dt.timedelta(days=self.duration_days - 1):
             v.append(f"start_date {self.start_date} leaves fewer than {self.duration_days} days")
-        if self.impressions_mean < 1:
-            v.append(f"impressions_mean {self.impressions_mean} must be >= 1")
+        if not 1 <= self.impressions_mean <= MAX_IMPRESSIONS_MEAN:
+            v.append(f"impressions_mean {self.impressions_mean} outside [1, 2**53]")
         if not 0.0 <= self.gap_fraction < 1.0:
             v.append(f"gap_fraction {self.gap_fraction} outside [0, 1)")
         lo, hi = DROP_FACTOR_RANGE
@@ -157,23 +160,8 @@ class PatternSpec:
         return v
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "baseline_ctr": self.baseline_ctr,
-            "weekly_decay_rate": self.weekly_decay_rate,
-            "noise_cv": self.noise_cv,
-            "duration_days": self.duration_days,
-            "impressions_mean": self.impressions_mean,
-            "seed": self.seed,
-            "gap_fraction": self.gap_fraction,
-            "change_days": None if self.change_days is None else list(self.change_days),
-            "drop_factor": self.drop_factor,
-            "n_stages": self.n_stages,
-            "stage_drop": self.stage_drop,
-            "base_kind": self.base_kind,
-            "min_observations": self.min_observations,
-            "start_date": self.start_date.isoformat(),
-        }
+        change_days = None if self.change_days is None else list(self.change_days)
+        return {**_record_dict(self), "change_days": change_days}
 
 
 @dataclass(frozen=True)
@@ -271,9 +259,7 @@ def clean_ctr_curve(spec: PatternSpec) -> np.ndarray:
 
 
 def _lognormal_factors(rng: np.random.Generator, n: int, cv: float) -> np.ndarray:
-    """Mean-1 multiplicative factors with the requested CV."""
-    if cv == 0.0:
-        return np.ones(n)
+    """Mean-1 multiplicative factors with the requested (positive) CV."""
     sigma2 = np.log1p(cv * cv)
     return rng.lognormal(mean=-0.5 * sigma2, sigma=np.sqrt(sigma2), size=n)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detector import Segment
 from .errors import ConfigurationError, InvalidInputError
-from .windowing import TimeSeries
+from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict
 
 __all__ = [
     "WastageReport",
@@ -44,26 +44,16 @@ class WastageReport:
     total_wastage: float
 
     def to_dict(self) -> dict:
+        """The report's fields; ``benchmark`` is summarised by its span,
+        trend and mean metric."""
+        benchmark = _record_dict(self.benchmark)
         return {
-            "schema_version": 1,
+            **_record_dict(self),
+            "schema_version": SCHEMA_VERSION,
             "benchmark": {
-                "start_date": self.benchmark.start_date.isoformat(),
-                "end_date": self.benchmark.end_date.isoformat(),
-                "trend": self.benchmark.trend,
-                "mean_metric": self.benchmark.mean_metric,
+                key: benchmark[key] for key in ("start_date", "end_date", "trend", "mean_metric")
             },
-            "benchmark_is_fallback": self.benchmark_is_fallback,
-            "ctr_benchmark": self.ctr_benchmark,
-            "cpc_benchmark": self.cpc_benchmark,
-            "daily": [
-                {"date": d, "lost_clicks": n, "wastage": w}
-                for d, n, w in zip(
-                    np.datetime_as_string(self.daily["date"]).tolist(),
-                    self.daily["lost_clicks"].tolist(),
-                    self.daily["wastage"].tolist(),
-                )
-            ],
-            "total_wastage": self.total_wastage,
+            "daily": _array_dicts(self.daily),
         }
 
 

@@ -13,6 +13,9 @@ Input CSV contract: header ``date,impressions,clicks`` with an optional
 trailing ``cost`` column filled on every row, ISO-8601 dates, one row
 per day.  Days with zero impressions have no defined click-through rate
 and are dropped at ingestion with a warning.
+
+Every module imports this one, so it also holds the reports' schema
+version and the two walks every report's ``to_dict`` is built from.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import csv
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,7 +43,34 @@ __all__ = [
 ]
 
 METRICS = ("ctr", "clicks", "impressions", "cost")
+SCHEMA_VERSION = 1  # of every JSON report and manifest
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+
+
+def _record_dict(record) -> dict:
+    """A dataclass record's fields in declaration order, dates as ISO strings.
+
+    The walk is shallow: other values, nested containers included, are
+    passed through as they are.
+    """
+    out = {}
+    for field in fields(record):
+        value = getattr(record, field.name)
+        out[field.name] = value.isoformat() if isinstance(value, dt.date) else value
+    return out
+
+
+def _array_dicts(array) -> list:
+    """One dict per record of a structured array, in column order, with
+    ``datetime64`` columns as ISO strings."""
+    names = array.dtype.names
+    columns = [
+        np.datetime_as_string(array[name]).tolist()
+        if array.dtype[name].kind == "M"
+        else array[name].tolist()
+        for name in names
+    ]
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 def _invalid_row(dates, impressions, clicks, cost):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sigfatigue
+from sigfatigue import detector, evaluation
 from sigfatigue.cli import SPEC_FLAGS, _dump_json, build_parser, main
 from sigfatigue.evaluation import METHODS
 
@@ -48,6 +49,16 @@ class TestGenerate:
         ])
         assert code == 2
         assert "noise_cv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [[], ["--noise-cv", "0"]], ids=["noisy", "noiseless"])
+    def test_impressions_mean_past_exact_floats_exits_2(self, tmp_path, capsys, noise):
+        code = run([
+            "generate", "--pattern", "sharp_drop", "--impressions-mean", str(2**70), *noise,
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "impressions_mean" in capsys.readouterr().err
+        assert not list((tmp_path / "x").glob("*"))
 
     def test_determinism_byte_identical(self, tmp_path):
         a_csv, a_man = gen_fixture(tmp_path / "a")
@@ -370,7 +381,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 # {csv} a valid series, {corpus} a directory of generated series, {file}
 # an existing file, {missing} a path that does not exist, {latin1} a CSV
 # with a byte that is not UTF-8, {truncated} and {specless} corpora with
-# one broken manifest.
+# one broken manifest, {empty} a directory with no manifest and {csvless}
+# one whose manifest has no series file.
 BAD_INVOCATIONS = [
     ["sweep", "--pattern", "sharp_drop", "--windows", "abc"],
     ["generate", "--pattern", "sharp_drop", "--change-days", "x,y", "--out", "{missing}"],
@@ -390,6 +402,8 @@ BAD_INVOCATIONS = [
     ["evaluate", "--corpus", "{specless}"],
     ["wastage", "{csv}", "--cpc", "1e306"],
     ["generate", "--pattern", "sharp_drop", "--start-date", "9999-12-01", "--out", "{missing}"],
+    ["evaluate", "--corpus", "{empty}"],
+    ["sweep", "--corpus", "{csvless}"],
 ]
 
 
@@ -399,7 +413,10 @@ def bad_inputs(tmp_path):
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"date,impressions,clicks\n2024-01-01,100,5\n2024-01-02,1\xff0,5\n")
     paths = {"csv": csv_path, "file": manifest_path, "missing": tmp_path / "missing",
-             "latin1": latin1}
+             "latin1": latin1, "empty": tmp_path / "empty", "csvless": tmp_path / "csvless"}
+    paths["empty"].mkdir()
+    paths["csvless"].mkdir()
+    (paths["csvless"] / "s.manifest.json").write_bytes(manifest_path.read_bytes())
     manifest = json.loads(manifest_path.read_text())
     del manifest["spec"]
     for name, text in [("truncated", manifest_path.read_text()[:40]),
@@ -421,3 +438,25 @@ def test_bad_invocation_exits_2(bad_inputs, capsys, argv):
     assert code == 2, err
     assert err.count("\n") == 1 or "usage:" in err, err
     assert "Traceback" not in err
+
+
+# Flags whose cost grows without bound; each must exit 2 before any
+# distance is computed.
+UNBOUNDED_COST = [
+    (["detect", "{csv}", "--depth", "9"], "depth"),
+    (["detect", "{csv}", "--depth", str(2**70)], "depth"),
+    (["sweep", "--pattern", "sharp_drop", "--depths", "3,9"], "depth"),
+    (["sweep", "--pattern", "sharp_drop", "--bootstrap", "-1"], "n_boot"),
+    (["sweep", "--pattern", "sharp_drop", "--bootstrap", "10001"], "n_boot"),
+]
+
+
+@pytest.mark.parametrize("argv,name", UNBOUNDED_COST, ids=[" ".join(a) for a, _ in UNBOUNDED_COST])
+def test_unbounded_cost_exits_2_before_any_distance(bad_inputs, capsys, monkeypatch, argv, name):
+    def no_distances(*args, **kwargs):
+        raise AssertionError("a distance series was computed")
+
+    monkeypatch.setattr(detector, "distance_series", no_distances)
+    monkeypatch.setattr(evaluation, "distance_series", no_distances)
+    assert main([arg.format(**bad_inputs) for arg in argv]) == 2
+    assert name in capsys.readouterr().err

@@ -31,6 +31,9 @@ class TestConfig:
         assert cfg.effective_merge_gap == 14
         assert cfg.feature_mode == "full"
 
+    def test_max_depth_accepted(self):
+        assert DetectorConfig(depth=detector.MAX_DEPTH).depth == 8
+
     def test_merge_gap_follows_window(self):
         assert DetectorConfig(window=7).effective_merge_gap == 7
         assert DetectorConfig(window=7, merge_gap=0).effective_merge_gap == 0
@@ -40,6 +43,8 @@ class TestConfig:
         [
             {"window": 1},
             {"depth": 0},
+            {"depth": detector.MAX_DEPTH + 1},
+            {"depth": 2**70},
             {"threshold_k": 0.0},
             {"alpha": 0.0},
             {"alpha": 1.0},

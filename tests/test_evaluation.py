@@ -31,6 +31,10 @@ def days(*nums):
 
 
 class TestMatching:
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(InvalidInputError, match="tolerance_days"):
+            MatchPolicy(tolerance_days=-1)
+
     def test_single_pair_within_tolerance(self):
         pairs = match_detections(days(59), days(60), MatchPolicy(3))
         assert pairs == [(days(59)[0], days(60)[0])]
@@ -200,6 +204,20 @@ class TestPoolAndBootstrap:
         with pytest.raises(InvalidInputError):
             bootstrap_ci([score(days(1), days(1))])
 
+    def test_pool_of_nothing_rejected(self):
+        with pytest.raises(InvalidInputError, match="zero scores"):
+            pool_scores([])
+
+    def test_level_one_rejected(self):
+        with pytest.raises(InvalidInputError, match="level"):
+            bootstrap_ci([score(days(1), days(1))] * 2, level=1.0)
+
+    @pytest.mark.parametrize("n_boot", [-1, evaluation.MAX_BOOTSTRAP + 1])
+    def test_n_boot_bounded(self, n_boot):
+        scores = [score(days(1), days(1))] * 2
+        with pytest.raises(InvalidInputError, match="n_boot"):
+            bootstrap_ci(scores, n_boot=n_boot)
+
     @pytest.mark.parametrize("n_boot", [0, 1, 2, 100])
     @pytest.mark.parametrize("level", [0.9, 0.95])
     @pytest.mark.parametrize("case", sorted(BOOTSTRAP_CASES))
@@ -285,6 +303,10 @@ class TestGridSearch:
     def test_empty_grid_rejected(self, corpus):
         with pytest.raises(InvalidInputError):
             grid_search("signature", {}, corpus)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(InvalidInputError, match="corpus must be non-empty"):
+            grid_search("signature", {"window": [14]}, [])
 
     def test_cells_enumerate_in_sorted_name_order(self):
         from sigfatigue.evaluation import _grid_cells
@@ -399,6 +421,15 @@ class TestSensitivity:
         corpus = generate_batch("sharp_drop", 2, master_seed=91, overrides={"duration_days": 120})
         with pytest.raises(InvalidInputError):
             sensitivity_report(corpus, grid={"window": []})
+
+    @pytest.mark.parametrize("n_boot", [-1, evaluation.MAX_BOOTSTRAP + 1])
+    def test_n_boot_checked_before_any_distance(self, monkeypatch, n_boot):
+        corpus = generate_batch("sharp_drop", 2, master_seed=91, overrides={"duration_days": 120})
+        monkeypatch.setattr(evaluation, "distance_series", None)
+        with pytest.raises(InvalidInputError, match="n_boot"):
+            sensitivity_report(corpus, n_boot=n_boot)
+        with pytest.raises(InvalidInputError, match="n_boot"):
+            evaluate_corpus(corpus, "signature", n_boot=n_boot)
 
     def test_noiseless_corpus_exact_tolerance(self):
         corpus = generate_batch(

@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ class TestValidation:
     def test_noiseless_is_allowed(self):
         spec = PatternSpec(kind="sharp_drop", noise_cv=0.0)
         assert spec.validate() == []
+
+    @pytest.mark.parametrize("noise_cv", [0.2, 0.0])
+    def test_impressions_mean_bounded_by_exact_float_integers(self, noise_cv):
+        top = PatternSpec(kind="sharp_drop", impressions_mean=2**53, noise_cv=noise_cv)
+        series, _ = generate(top)
+        assert series.impressions.min() >= 1
+        over = replace(top, impressions_mean=2**53 + 1)
+        assert any("impressions_mean" in v for v in over.validate())
 
     def test_unknown_kind(self):
         spec = PatternSpec(kind="mystery")

@@ -289,6 +289,18 @@ class TestCsvIO:
             read_series_csv(path)
         assert err.value.line_number == 3
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("")
+        with pytest.raises(CsvFormatError, match="empty file") as err:
+            read_series_csv(path)
+        assert err.value.line_number == 1
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("date,impressions,clicks\n2024-01-01,100,5\n\n,,\n2024-01-02,100,7\n")
+        assert read_series_csv(path).clicks.tolist() == [5, 7]
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("day,imps,clicks\n2024-01-01,100,5\n")
