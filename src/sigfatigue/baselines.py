@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import ols_slope_test
 from .errors import DegenerateInputError, InsufficientDataError, InvalidInputError
@@ -108,17 +109,13 @@ def rolling_regression(series: TimeSeries, window: int = 7, alpha: float = 0.05)
         raise InvalidInputError(f"window must be >= 3, got {window}")
     if not 0 < alpha < 1:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
-    n = len(series)
-    values = series.metric_values()
-    offsets = series.day_offsets()
-    flags = []
-    was_significant = False
-    for i in range(window - 1, n):
-        slope, p = ols_slope_test(
-            offsets[i - window + 1 : i + 1], values[i - window + 1 : i + 1]
-        )
-        significant = p < alpha and slope < 0
-        if significant and not was_significant:
-            flags.append(i)
-        was_significant = significant
-    return series.dates[flags].tolist()
+    if len(series) < window:
+        return []
+    slope, p = ols_slope_test(
+        sliding_window_view(series.day_offsets(), window),
+        sliding_window_view(series.metric_values(), window),
+    )
+    significant = (p < alpha) & (slope < 0)
+    # window i ends at observation i + window - 1 and flags if window i - 1 did not
+    turns = significant & ~np.concatenate(([False], significant[:-1]))
+    return series.dates[np.flatnonzero(turns) + window - 1].tolist()

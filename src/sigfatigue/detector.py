@@ -155,10 +155,8 @@ def distance_series(series: TimeSeries, cfg: DetectorConfig) -> np.ndarray:
     diff = features[:n_pairs] - features[n_pairs:]
     out = np.empty(n_pairs, dtype=DISTANCE_DTYPE)
     out["date"] = dates
-    # one dot product per row is what np.linalg.norm computes for a real
-    # vector, so each distance rounds exactly as sig_distance does; a
-    # batched sum of squares would round differently
-    out["distance"] = np.sqrt([row @ row for row in diff])
+    # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
+    out["distance"] = np.sqrt(np.vecdot(diff, diff))
     return out
 
 
@@ -206,27 +204,34 @@ def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
 def ols_slope_test(x, y) -> tuple:
     """OLS slope of ``y`` on ``x`` plus its two-sided t-test p-value.
 
-    Returns (slope, p_value).  Fewer than 2 points give (0, 1); exactly
-    2 points fit a slope with no residual degrees of freedom, so p = 1.
-    A zero standard error gives p = 1 for a zero slope, else p = 0.
+    ``x`` and ``y`` are one sample of ``n`` points or a stack of them,
+    shape ``(..., n)``.  Returns (slope, p_value): two floats for one
+    sample, else two arrays of the stack's shape, each row equal to the
+    one-sample call on that row.  Fewer than 2 points give (0, 1);
+    exactly 2 points fit a slope with no residual degrees of freedom, so
+    p = 1.  A zero standard error gives p = 1 for a zero slope, else 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(x)
-    if n < 2:
-        return 0.0, 1.0
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    slope = float(xc @ (y - y.mean()) / sxx)
-    if n < 3:
-        return slope, 1.0
-    resid = y - (y.mean() + slope * xc)
-    ssr = float(resid @ resid)
-    se = np.sqrt(ssr / (n - 2) / sxx)
-    if se == 0.0:
-        return slope, 1.0 if slope == 0.0 else 0.0
-    # the Student t survival function, as scipy.stats.t.sf evaluates it
-    return slope, float(2.0 * special.stdtr(n - 2, -(abs(slope) / se)))
+    n = x.shape[-1]
+    # the np.where branches below replace what too few points or a zero
+    # standard error make of the formula (0/0, x/0); sum / n is what
+    # mean() computes, without its warning on an empty sample
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = x - x.sum(axis=-1, keepdims=True) / n
+        y_mean = y.sum(axis=-1, keepdims=True) / n
+        sxx = np.vecdot(xc, xc)
+        slope = np.vecdot(xc, y - y_mean) / sxx
+        resid = y - (y_mean + slope[..., None] * xc)
+        se = np.sqrt(np.vecdot(resid, resid) / (n - 2) / sxx)
+        # the Student t survival function, as scipy.stats.t.sf evaluates it
+        p_value = 2.0 * special.stdtr(n - 2, -(np.abs(slope) / se))
+    p_value = np.where(se == 0.0, np.where(slope == 0.0, 1.0, 0.0), p_value)
+    p_value = np.where(n < 3, 1.0, p_value)
+    slope = np.where(n < 2, 0.0, slope)
+    if slope.ndim == 0:
+        return float(slope), float(p_value)
+    return slope, p_value
 
 
 def classify_trend(days, values, alpha: float = 0.05) -> tuple:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from sigfatigue.baselines import cusum, ma_crossover, rolling_regression
+from sigfatigue.detector import ols_slope_test
 from sigfatigue.errors import (
     DegenerateInputError,
     InsufficientDataError,
     InvalidInputError,
 )
+from sigfatigue.synth import PATTERN_KINDS, generate_batch
 
 from conftest import START, series_from_ctr, sharp_drop_ctrs
 
@@ -104,3 +106,53 @@ class TestRollingRegression:
         rng = np.random.default_rng(5)
         series = series_from_ctr(np.clip(0.02 + np.cumsum(rng.normal(0, 0.0005, 60)), 0.001, 1))
         assert rolling_regression(series, 7) == rolling_regression(series, 7)
+
+
+def loop_rolling_regression(series, window, alpha=0.05):
+    """rolling_regression as a loop, one slope test per window: the oracle."""
+    values = series.metric_values()
+    offsets = series.day_offsets()
+    flags = []
+    was_significant = False
+    for i in range(window - 1, len(series)):
+        slope, p = ols_slope_test(
+            offsets[i - window + 1 : i + 1], values[i - window + 1 : i + 1]
+        )
+        significant = p < alpha and slope < 0
+        if significant and not was_significant:
+            flags.append(i)
+        was_significant = significant
+    return series.dates[flags].tolist()
+
+
+PLAIN_KINDS = [k for k in PATTERN_KINDS if k != "non_continuous"]
+
+
+class TestRollingRegressionAgainstLoop:
+    @pytest.mark.parametrize("window", [3, 7, 14])
+    @pytest.mark.parametrize("gapped", [False, True], ids=["plain", "gapped"])
+    def test_dates_match_per_window_loop(self, gapped, window):
+        if gapped:
+            corpus = [
+                g
+                for base in PLAIN_KINDS
+                for g in generate_batch(
+                    "non_continuous", 2, master_seed=window,
+                    overrides={"base_kind": base, "gap_fraction": 0.2},
+                )
+            ]
+        else:
+            corpus = generate_batch(PLAIN_KINDS, 2, master_seed=window)
+        flagged = 0
+        for g in corpus:
+            for alpha in (0.05, 0.2):
+                dates = rolling_regression(g.series, window, alpha)
+                assert dates == loop_rolling_regression(g.series, window, alpha)
+                flagged += len(dates)
+        assert flagged > 0
+
+    @pytest.mark.parametrize("n", [1, 6, 7])
+    def test_series_shorter_than_window(self, n):
+        series = series_from_ctr([0.03 - 0.001 * t for t in range(n)])
+        assert rolling_regression(series, 7) == loop_rolling_regression(series, 7)
+        assert (rolling_regression(series, 7) == []) == (n < 7)

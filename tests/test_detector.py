@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import special
 
 from sigfatigue.detector import (
     DetectorConfig,
@@ -397,6 +399,78 @@ class TestOlsSlopeTest:
         x = [0.0, 1.0, 2.0, 3.0]
         y = [sign * (3.0 * v + 1.0) for v in x]
         assert ols_slope_test(x, y) == (sign * 3.0, 0.0)
+
+
+def scalar_ols_slope_test(x, y):
+    """One sample at a time, with Python branches: the oracle for stacks."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 2:
+        return 0.0, 1.0
+    xc = x - x.mean()
+    sxx = float(xc @ xc)
+    slope = float(xc @ (y - y.mean()) / sxx)
+    if n < 3:
+        return slope, 1.0
+    resid = y - (y.mean() + slope * xc)
+    ssr = float(resid @ resid)
+    se = np.sqrt(ssr / (n - 2) / sxx)
+    if se == 0.0:
+        return slope, 1.0 if slope == 0.0 else 0.0
+    return slope, float(2.0 * special.stdtr(n - 2, -(abs(slope) / se)))
+
+
+def ols_stack(kind, n, rows=60, seed=0):
+    """A (rows, n) stack of samples.  "flat" rows cycle through a constant,
+    an exact line and noise, so zero standard errors sit beside the rest;
+    "window_view" is the overlapping view rolling_regression passes."""
+    rng = np.random.default_rng(seed)
+    if kind == "window_view":
+        x = np.cumsum(rng.integers(1, 4, rows + n - 1))
+        y = rng.normal(0.02, 0.005, rows + n - 1)
+        return sliding_window_view(x, n), sliding_window_view(y, n)
+    steps = np.ones((rows, n)) if kind == "plain" else rng.integers(1, 4, (rows, n))
+    x = np.cumsum(steps, axis=-1).astype(float)
+    y = rng.normal(0.02, 0.005, (rows, n)) + rng.normal(0, 1e-4, (rows, 1)) * x
+    if kind == "flat":
+        y[0::3] = 2.0
+        y[1::3] = -3.0 * x[1::3] + 1.0
+    return x, y
+
+
+class TestOlsSlopeTestStack:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 14, 16, 40])
+    @pytest.mark.parametrize("kind", ["plain", "gapped", "flat", "window_view"])
+    def test_rows_equal_one_sample_oracle(self, kind, n):
+        x, y = ols_stack(kind, n, seed=n)
+        slope, p = ols_slope_test(x, y)
+        assert slope.shape == p.shape == (60,)
+        assert list(zip(slope.tolist(), p.tolist())) == [
+            scalar_ols_slope_test(a, b) for a, b in zip(x, y)
+        ]
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_zero_standard_error_rows(self, n):
+        # with n a power of two every mean is exact, so the residuals of
+        # the constant and the line rows are exactly zero
+        x, y = ols_stack("flat", n)
+        slope, p = ols_slope_test(x, y)
+        assert set(zip(slope[0::3].tolist(), p[0::3].tolist())) == {(0.0, 1.0)}
+        assert set(zip(slope[1::3].tolist(), p[1::3].tolist())) == {(-3.0, 0.0)}
+
+    def test_stack_shape_is_kept(self):
+        x, y = ols_stack("gapped", 9)
+        slope, p = ols_slope_test(x.reshape(3, 20, 9), y.reshape(3, 20, 9))
+        assert slope.shape == p.shape == (3, 20)
+        assert slope.ravel().tolist() == ols_slope_test(x, y)[0].tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
+    def test_one_sample_returns_floats(self, n):
+        x, y = ols_stack("gapped", n, rows=1)
+        result = ols_slope_test(x[0].tolist(), y[0])
+        assert [type(v) for v in result] == [float, float]
+        assert result == scalar_ols_slope_test(x[0], y[0])
 
 
 def per_day_segments(series, change_dates, alpha):
