@@ -60,7 +60,7 @@ from .synth import (
     generate,
     generate_batch,
 )
-from .wastage import WastageReport, compute_wastage, lost_clicks, select_benchmark
+from .wastage import WastageReport, compute_wastage, select_benchmark
 from .windowing import (
     TimeSeries,
     pair_paths,

@@ -41,7 +41,6 @@ __all__ = [
     "METHODS",
     "make_method",
     "evaluate_corpus",
-    "parity_split",
     "grid_search",
     "sensitivity_report",
 ]
@@ -263,12 +262,6 @@ def evaluate_corpus(
         else None
     )
     return per_series, replace(pooled, ci=ci)
-
-
-def parity_split(corpus) -> tuple:
-    """50/50 train/validation split by series index parity."""
-    corpus = list(corpus)
-    return corpus[0::2], corpus[1::2]
 
 
 def _grid_cells(grid: dict) -> list:

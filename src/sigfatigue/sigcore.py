@@ -22,10 +22,11 @@ corresponding k-tensor, so flattened tensor products are plain outer
 products.  All values are immutable; every function is pure.
 
 ``batch_signature`` is the hot path: one vectorised Chen fold (and
-truncated log) over a whole batch of paths, taken in blocks of ``BLOCK``
-paths.  ``path_signature`` and ``log_signature`` run it on a batch of
-one; ``TensorSeq``, ``segment_signature``, ``chen_concat`` and
-``tensor_exp`` are the readable specification it is tested against.
+truncated log) over a batch of paths, in blocks of ``BLOCK_BYTES``; its
+rows do not depend on the split.  ``path_signature`` and
+``log_signature`` run it on a batch of one; ``TensorSeq``,
+``segment_signature``, ``chen_concat`` and ``tensor_exp`` are the
+readable specification it is tested against.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ __all__ = [
     "sig_distance",
 ]
 
-# Paths per kernel block.  Fixed so that the kernel's peak memory is
-# bounded by one block's intermediates, not by the batch size.
-BLOCK = 64
+# Bytes of top-level increments (d**depth * (n-1) floats a path) in one
+# kernel block.  Peak memory is a few times this whatever the batch size,
+# depth or path length, and blocks this small stay in cache.
+BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -173,9 +175,15 @@ def _signature_levels(paths: np.ndarray, depth: int) -> list:
 
     The fold is restructured as cumulative sums over segments: the
     level-k increment contributed by segment s is
-    sum_{j=1..k} S^{k-j}(prefix) (x) delta_s^j / j!.
+    sum_{j=1..k} S^{k-j}(prefix) (x) delta_s^j / j!.  Each cumsum is
+    written after a zero column, so the prefixes are a view of it.  The
+    top level is no prefix, so it is only summed: with the batch axis last
+    and contiguous, numpy adds segment rows in ``cumsum``'s order, and the
+    -0.0 start keeps the sign of an all-zero sum.  A single path keeps
+    ``cumsum``: numpy would sum its lone axis pairwise, which rounds apart.
     """
     deltas = np.diff(np.ascontiguousarray(paths.transpose(2, 1, 0)), axis=1)  # (d, m, B)
+    _, m, batch = deltas.shape
     # pows[j-1][:, s] = delta_s^{tensor j} / j!, flattened
     pows = [deltas]
     for j in range(2, depth + 1):
@@ -183,13 +191,17 @@ def _signature_levels(paths: np.ndarray, depth: int) -> list:
     levels = []
     prefixes = []  # running level values before each segment
     for k in range(1, depth + 1):
-        incr = pows[k - 1].copy()
+        incr = pows[k - 1]
         for j in range(1, k):
-            incr += _outer(prefixes[k - j - 1], pows[j - 1])
-        cum = np.cumsum(incr, axis=1)
-        levels.append(cum[:, -1])
-        if k < depth:
-            prefixes.append(np.concatenate([np.zeros_like(cum[:, :1]), cum[:, :-1]], axis=1))
+            incr = incr + _outer(prefixes[k - j - 1], pows[j - 1])
+        if k == depth and batch > 1:
+            levels.append(incr.sum(axis=1, initial=-0.0))
+            break
+        buf = np.empty((incr.shape[0], m + 1, batch))
+        buf[:, 0] = 0.0
+        np.cumsum(incr, axis=1, out=buf[:, 1:])
+        levels.append(buf[:, -1])
+        prefixes.append(buf[:, :-1])
     return levels
 
 
@@ -218,23 +230,27 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     ``paths`` is a (B, n, d) array of B paths with n >= 2 vertices each.
     Returns a (B, flat_length(d, depth)) array whose row b equals
     ``flatten(path_signature(paths[b], depth))``, or with ``log`` its
-    ``log_signature``.  Paths are processed in blocks of ``BLOCK`` so
-    that peak memory stays fixed whatever B is.
+    ``log_signature``, bit for bit.  Blocks hold ``BLOCK_BYTES // (8 *
+    d**depth * (n-1))`` paths, at least one, so peak memory is fixed
+    whatever B, depth and n are.  A block's top level is summed, and
+    cumsum'd for a block of one, so rows are the same however B splits.
     """
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 3 or paths.shape[1] < 2:
         raise InvalidInputError("paths must be a (B, n>=2, d) array of vertices")
-    out = np.empty((paths.shape[0], flat_length(paths.shape[2], depth)))
-    for start in range(0, paths.shape[0], BLOCK):
-        block = paths[start : start + BLOCK]
-        if not np.all(np.isfinite(block)):
+    _, n, dim = paths.shape
+    out = np.empty((paths.shape[0], flat_length(dim, depth)))
+    block = max(1, BLOCK_BYTES // (8 * dim**depth * (n - 1)))
+    for start in range(0, paths.shape[0], block):
+        rows = slice(start, start + block)
+        if not np.all(np.isfinite(paths[rows])):
             raise InvalidInputError("path vertices must be finite")
-        levels = _signature_levels(block, depth)
+        levels = _signature_levels(paths[rows], depth)
         if log:
             levels = _log_levels(levels)
-        out[start : start + BLOCK] = np.concatenate(levels).T
+        out[rows] = np.concatenate(levels).T
     return out
 
 

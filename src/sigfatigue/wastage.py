@@ -21,7 +21,6 @@ from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict
 __all__ = [
     "WastageReport",
     "select_benchmark",
-    "lost_clicks",
     "compute_wastage",
 ]
 
@@ -73,15 +72,6 @@ def select_benchmark(segments) -> tuple:
     return max(segments, key=lambda s: (s.mean_metric, s.start_date.toordinal() * -1)), True
 
 
-def lost_clicks(ctr_bench: float, ctr_t: float, impressions_t: float) -> float:
-    """Clicks forgone on a day relative to benchmark rate; never negative."""
-    if ctr_bench < 0 or ctr_t < 0 or impressions_t < 0:
-        raise InvalidInputError("lost_clicks inputs must be nonnegative")
-    if ctr_bench > 1 or ctr_t > 1:
-        raise InvalidInputError("click-through rates cannot exceed 1")
-    return max(0.0, ctr_bench - ctr_t) * impressions_t
-
-
 def _benchmark_cpc(series: TimeSeries, bench: slice, user_cpc: float | None) -> float:
     costed = series.cost is not None
     total_clicks = int(series.clicks[bench].sum())
@@ -112,8 +102,8 @@ def compute_wastage(
     The benchmark rate is the mean daily click-through rate over the
     benchmark segment.  The benchmark cost per click comes from the
     segment's cost data (total cost / total clicks) when present, else
-    from the ``cpc`` argument.  Days that beat the benchmark clamp to
-    zero rather than offsetting (see ``lost_clicks``).
+    from the ``cpc`` argument.  Days that beat the benchmark lose no
+    clicks: they clamp to zero rather than offsetting.
     """
     benchmark, fallback = select_benchmark(segments)
     lo = int(series.dates.searchsorted(benchmark.start_date))

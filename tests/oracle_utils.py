@@ -4,11 +4,14 @@ The signature oracle evaluates iterated integrals by plain quadrature on
 a refined polyline: each original segment is split into many substeps
 and the nested integrals accumulate via trapezoidal cumulative sums.
 It never touches the tensor-exponential / Chen machinery under test.
+``lost_clicks`` is the one-day wastage rule, as plain scalar code.
 """
 
 import itertools
 
 import numpy as np
+
+from sigfatigue.errors import InvalidInputError
 
 
 def refine_polyline(points, substeps):
@@ -50,3 +53,13 @@ def riemann_signature_levels(points, depth, substeps=10_000):
             )
         )
     return levels
+
+
+def lost_clicks(ctr_bench, ctr_t, impressions_t):
+    """Clicks forgone on one day relative to the benchmark rate; never
+    negative.  The scalar rule ``compute_wastage`` applies to every day."""
+    if ctr_bench < 0 or ctr_t < 0 or impressions_t < 0:
+        raise InvalidInputError("lost_clicks inputs must be nonnegative")
+    if ctr_bench > 1 or ctr_t > 1:
+        raise InvalidInputError("click-through rates cannot exceed 1")
+    return max(0.0, ctr_bench - ctr_t) * impressions_t

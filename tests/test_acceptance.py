@@ -27,11 +27,11 @@ from sigfatigue.sigcore import (
     tensor_exp,
 )
 from sigfatigue.synth import PatternSpec, generate
-from sigfatigue.wastage import compute_wastage, lost_clicks
+from sigfatigue.wastage import compute_wastage
 from sigfatigue.windowing import TimeSeries
 
 from conftest import START, daily_dates, series_from_ctr, sharp_drop_ctrs
-from oracle_utils import riemann_signature_levels
+from oracle_utils import lost_clicks, riemann_signature_levels
 
 RAW_FLAGS = dict(window=14, depth=3, threshold_k=1.5, merge_gap=0)
 

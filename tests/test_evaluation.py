@@ -15,7 +15,6 @@ from sigfatigue.evaluation import (
     grid_search,
     make_method,
     match_detections,
-    parity_split,
     pool_scores,
     score,
     sensitivity_report,
@@ -273,12 +272,6 @@ class TestHarness:
             assert evaluate_corpus(corpus, method, n_boot=20) == expected
             monkeypatch.undo()
             assert calls == []
-
-    def test_parity_split(self):
-        corpus = list(range(9))
-        train, val = parity_split(corpus)
-        assert train == [0, 2, 4, 6, 8]
-        assert val == [1, 3, 5, 7]
 
 
 @pytest.fixture(scope="module")

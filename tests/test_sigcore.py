@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,11 @@ def chen_fold(pts, depth):
     return sig
 
 
+def block_paths(n, dim, depth):
+    """Paths per kernel block for paths of n vertices in R^dim."""
+    return max(1, sc.BLOCK_BYTES // (8 * dim**depth * (n - 1)))
+
+
 class TestBatchSignature:
     @pytest.mark.parametrize("log", [False, True])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -192,11 +198,42 @@ class TestBatchSignature:
 
     @pytest.mark.parametrize("log", [False, True])
     def test_blocked_equals_unblocked(self, monkeypatch, log):
-        paths = np.random.default_rng(31).random((3 * sc.BLOCK + 5, 9, 2))
+        block = block_paths(9, 2, 4)
+        paths = np.random.default_rng(31).random((3 * block + 5, 9, 2))
         blocked = sc.batch_signature(paths, 4, log=log)
-        monkeypatch.setattr(sc, "BLOCK", len(paths))
+        monkeypatch.setattr(sc, "BLOCK_BYTES", 8 * 2**4 * 8 * len(paths))
         unblocked = sc.batch_signature(paths, 4, log=log)
         assert blocked.tobytes() == unblocked.tobytes()
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_do_not_depend_on_the_split(self, monkeypatch, dim, depth, log):
+        # two budget-sized blocks and a last block of exactly one path;
+        # 16 segments are enough for numpy to sum a lone axis pairwise
+        n = 17
+        block = block_paths(n, dim, depth)
+        paths = np.random.default_rng(dim * 100 + depth).normal(size=(2 * block + 1, n, dim))
+        # a flat first coordinate and a falling rest give levels of -0.0
+        paths[block - 1, :, 0] = 0.0
+        paths[block - 1, :, 1:] = -np.arange(n, dtype=float)[:, None]
+        rows = sc.batch_signature(paths, depth, log=log)
+        for b in sorted({0, block - 1, block, 2 * block - 1, 2 * block}):
+            alone = sc.batch_signature(paths[b : b + 1], depth, log=log)
+            assert rows[b].tobytes() == alone[0].tobytes(), b
+        monkeypatch.setattr(sc, "BLOCK_BYTES", 8 * dim**depth * (n - 1) * len(paths))
+        whole = sc.batch_signature(paths, depth, log=log)
+        assert rows.tobytes() == whole.tobytes()
+
+    def test_peak_memory_is_bounded_by_the_block_budget(self):
+        paths = np.random.default_rng(5).random((400, 62, 2))
+        tracemalloc.start()
+        try:
+            sc.batch_signature(paths, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
@@ -205,8 +242,8 @@ class TestBatchSignature:
             sc.batch_signature(np.zeros((2, 1, 2)), 2)
         with pytest.raises(InvalidInputError):
             sc.batch_signature(np.zeros((3, 2)), 2)
-        paths = np.zeros((sc.BLOCK + 2, 3, 2))
-        paths[-1, 1, 0] = np.inf
+        paths = np.zeros((block_paths(3, 2, 2) + 2, 3, 2))
+        paths[-1, 1, 0] = np.inf  # in the second block
         with pytest.raises(InvalidInputError):
             sc.batch_signature(paths, 2)
 

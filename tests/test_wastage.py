@@ -6,9 +6,10 @@ import pytest
 
 from sigfatigue.detector import Segment
 from sigfatigue.errors import ConfigurationError, InvalidInputError
-from sigfatigue.wastage import compute_wastage, lost_clicks, select_benchmark
+from sigfatigue.wastage import compute_wastage, select_benchmark
 
 from conftest import START, series_from_ctr
+from oracle_utils import lost_clicks
 
 
 def seg(start, end, trend, mean):
