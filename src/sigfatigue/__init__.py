@@ -36,7 +36,6 @@ from .evaluation import (
     MatchPolicy,
     bootstrap_ci,
     evaluate_corpus,
-    grid_search,
     match_detections,
     score,
     sensitivity_report,

@@ -14,13 +14,15 @@ protocol, the signature method is scored on its raw exceedance flags
 (merging disabled); merged change points are an analyst-facing report
 feature.
 
-A signature-method sweep or grid search computes each series' distances
-once per (window, depth, feature_mode) and thresholds them for every
-threshold_k and merge_gap of the grid.
+``sensitivity_report`` sweeps the signature method over a parameter
+grid: it computes each series' distances once per (window, depth,
+feature_mode) and thresholds them for every threshold_k and merge_gap
+of the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -41,7 +43,6 @@ __all__ = [
     "METHODS",
     "make_method",
     "evaluate_corpus",
-    "grid_search",
     "sensitivity_report",
 ]
 
@@ -110,16 +111,34 @@ def match_detections(detected, truth, policy: MatchPolicy = MatchPolicy()) -> li
     return pairs
 
 
+def _rates(detected, true, matched, n_delays, delay_sum) -> tuple:
+    """Precision, recall, F1 and mean delay from pooled counts, either
+    numbers or arrays (elementwise).
+
+    A zero count is divided as 1.  What is divided by it is then 0 too,
+    because matches never outnumber detections or truths and delays come
+    only from matches: precision and F1 come out 0, recall 1 (the
+    ``no_truth`` term) and the mean delay 0, which callers drop where
+    ``n_delays`` is 0.  Delays are whole days, so each sum is exact.
+    """
+    no_truth = true == 0
+    precision = matched / (detected + (detected == 0))
+    recall = matched / (true + no_truth) + no_truth
+    both = precision + recall
+    f1 = 2 * precision * recall / (both + (both == 0))
+    mean_delay = delay_sum / (n_delays + (n_delays == 0))
+    return precision, recall, f1, mean_delay
+
+
 def _metrics_from_counts(n_detected, n_true, n_matched, delays) -> EvalMetrics:
-    precision = n_matched / n_detected if n_detected else 0.0
-    recall = n_matched / n_true if n_true else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    mean_delay = float(np.mean(delays)) if delays else None
+    precision, recall, f1, mean_delay = _rates(
+        n_detected, n_true, n_matched, len(delays), sum(delays)
+    )
     return EvalMetrics(
         precision=precision,
         recall=recall,
         f1=f1,
-        mean_delay_days=mean_delay,
+        mean_delay_days=mean_delay if delays else None,
         n_detected=n_detected,
         n_true=n_true,
         n_matched=n_matched,
@@ -155,9 +174,8 @@ def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) 
 
     ``n_boot`` is from 0 to ``MAX_BOOTSTRAP``.  All resamples are drawn
     in one call, which yields the same index stream as one draw per
-    resample, and each is pooled from per-series counts exactly as
-    ``pool_scores`` pools it: delays are whole days, so their sums are
-    exact integers.
+    resample, and each is pooled from per-series counts by ``_rates``,
+    the formula ``pool_scores`` uses.
     """
     scores = list(scores)
     if len(scores) < 2:
@@ -171,14 +189,7 @@ def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) 
         [[s.n_detected, s.n_true, s.n_matched, len(s.delays), sum(s.delays)] for s in scores]
     )
     detected, true, matched, n_delays, delay_sum = counts[idx].sum(axis=1).T
-    # the same float operations, in the same order, as _metrics_from_counts
-    precision = np.divide(matched, detected, out=np.zeros(len(idx)), where=detected > 0)
-    recall = np.divide(matched, true, out=np.ones(len(idx)), where=true > 0)
-    both = precision + recall
-    f1 = np.divide(2 * precision * recall, both, out=np.zeros(len(idx)), where=both > 0)
-    mean_delay = np.divide(
-        delay_sum, n_delays, out=np.full(len(idx), np.nan), where=n_delays > 0
-    )
+    precision, recall, f1, mean_delay = _rates(detected, true, matched, n_delays, delay_sum)
     lo_q, hi_q = 100 * (1 - level) / 2, 100 * (1 + level) / 2
     rates = ("precision", "recall", "f1")
     out = dict.fromkeys((*rates, "mean_delay_days"))
@@ -186,7 +197,7 @@ def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) 
         bounds = np.percentile(np.stack([precision, recall, f1]), [lo_q, hi_q], axis=1)
         for name, (lo, hi) in zip(rates, bounds.T.tolist()):
             out[name] = {"lo": lo, "hi": hi}
-    delays = mean_delay[~np.isnan(mean_delay)]
+    delays = mean_delay[n_delays > 0]
     if delays.size:
         lo, hi = np.percentile(delays, [lo_q, hi_q]).tolist()
         out["mean_delay_days"] = {"lo": lo, "hi": hi}
@@ -208,23 +219,17 @@ def _signature_method(**params):
     return lambda series: _flag_dates(distance_series(series, cfg), cfg)
 
 
-def _ma_method(**params):
-    return lambda series: baselines.ma_crossover(series, **params)
-
-
-def _cusum_method(**params):
-    return lambda series: baselines.cusum(series, **params)
-
-
-def _rolling_method(**params):
-    return lambda series: baselines.rolling_regression(series, **params)
+def _baseline_method(name: str, **params):
+    # looked up on each call, so a wrapped baselines function is the one run
+    return lambda series: getattr(baselines, name)(series, **params)
 
 
 METHODS = {
     "signature": _signature_method,
-    "ma_crossover": _ma_method,
-    "cusum": _cusum_method,
-    "rolling_regression": _rolling_method,
+    **{
+        name: functools.partial(_baseline_method, name)
+        for name in ("ma_crossover", "cusum", "rolling_regression")
+    },
 }
 
 
@@ -264,84 +269,6 @@ def evaluate_corpus(
     return per_series, replace(pooled, ci=ci)
 
 
-def _grid_cells(grid: dict) -> list:
-    names = sorted(grid)
-    cells = []
-    for values in itertools.product(*(grid[n] for n in names)):
-        cells.append(dict(zip(names, values)))
-    return cells
-
-
-def _grid_rows(method: str, grid: dict, corpus, policy, n_boot: int, seed: int) -> list:
-    """(params, pooled metrics) for every grid cell, in lexicographic order."""
-    if not grid or not any(len(v) for v in grid.values()):
-        raise InvalidInputError("parameter grid must be non-empty")
-    _check_n_boot(n_boot)
-    corpus = list(corpus)
-    if not corpus:
-        raise InvalidInputError("corpus must be non-empty")
-    cells = _grid_cells(grid)
-    if method == "signature":
-        runs = _shared_distance_runs(cells, corpus)
-    else:
-        runs = ((i, make_method(method, **params)) for i, params in enumerate(cells))
-    rows = [None] * len(cells)
-    for i, run in runs:
-        _, pooled = evaluate_corpus(corpus, run, policy, n_boot=n_boot, seed=seed)
-        rows[i] = (cells[i], pooled)
-    return rows
-
-
-def _shared_distance_runs(cells: list, corpus: list):
-    """Yield (cell index, method) for signature-method cells, group by group.
-
-    ``distance_series`` reads only window, depth and feature_mode, so the
-    cells that differ in nothing else (threshold_k, merge_gap) share one
-    distance series per corpus series.  Each group's distances are
-    dropped before the next group's are computed.
-    """
-    configs = [_signature_config(params) for params in cells]
-    groups = {}
-    for i, cfg in enumerate(configs):
-        groups.setdefault((cfg.window, cfg.depth, cfg.feature_mode), []).append(i)
-    for indices in groups.values():
-        first = configs[indices[0]]
-        distances = {id(item.series): distance_series(item.series, first) for item in corpus}
-        # the caller runs each method before it asks for the next one
-        for i in indices:
-            yield i, lambda series, cfg=configs[i]: _flag_dates(distances[id(series)], cfg)
-        del distances
-
-
-def grid_search(
-    method: str,
-    grid: dict,
-    corpus,
-    policy: MatchPolicy = MatchPolicy(),
-    objective: str = "f1",
-) -> tuple:
-    """Exhaustive parameter search; returns (best params, best metrics, rows).
-
-    Ties on the objective break toward the earlier (more negative) mean
-    delay, then the earlier grid cell in lexicographic parameter order.
-    """
-    rows = _grid_rows(method, grid, corpus, policy, n_boot=0, seed=0)
-    best_params, best_metrics = rows[0]
-    for params, pooled in rows[1:]:
-        cur = getattr(pooled, objective)
-        best = getattr(best_metrics, objective)
-        if cur > best:
-            best_params, best_metrics = params, pooled
-        elif cur == best:
-            cur_delay = pooled.mean_delay_days
-            best_delay = best_metrics.mean_delay_days
-            cur_delay = float("inf") if cur_delay is None else cur_delay
-            best_delay = float("inf") if best_delay is None else best_delay
-            if cur_delay < best_delay:
-                best_params, best_metrics = params, pooled
-    return best_params, best_metrics, rows
-
-
 def sensitivity_report(
     corpus,
     grid: dict | None = None,
@@ -352,13 +279,47 @@ def sensitivity_report(
     """One row of signature-method metrics per parameter-grid cell.
 
     The default grid sweeps window in {7, 14, 21} and threshold_k in
-    {1.5, 2.0, 2.5} at depth 3.  Each row carries pooled metrics plus
-    bootstrap intervals.
+    {1.5, 2.0, 2.5} at depth 3.  Rows follow the cells in lexicographic
+    order of the sorted parameter names.  Each row names its cell (the
+    cell's window, threshold_k and depth, then any other grid parameter
+    in sorted order) and carries pooled metrics plus bootstrap
+    intervals.
+
+    ``distance_series`` reads only window, depth and feature_mode, so
+    the cells that differ in nothing else share one distance series per
+    corpus series.  Each group's distances are dropped before the next
+    group's are computed.
     """
     if grid is None:
         grid = {"window": [7, 14, 21], "threshold_k": [1.5, 2.0, 2.5], "depth": [3]}
-    rows = []
-    for params, pooled in _grid_rows("signature", grid, corpus, policy, n_boot, seed):
-        row = {name: params.get(name) for name in ("window", "threshold_k", "depth")}
-        rows.append({**row, **pooled.to_dict()})
+    if not grid or not all(len(v) for v in grid.values()):
+        raise InvalidInputError(f"parameter grid needs a non-empty list per parameter, got {grid}")
+    _check_n_boot(n_boot)
+    corpus = list(corpus)
+    if not corpus:
+        raise InvalidInputError("corpus must be non-empty")
+    names = sorted(grid)
+    cells = [dict(zip(names, values)) for values in itertools.product(*(grid[n] for n in names))]
+    configs = [_signature_config(cell) for cell in cells]
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.window, cfg.depth, cfg.feature_mode), []).append(i)
+    rows = [None] * len(cells)
+    for indices in groups.values():
+        distances = {
+            id(item.series): distance_series(item.series, configs[indices[0]]) for item in corpus
+        }
+        for i in indices:
+            cfg = configs[i]
+            _, pooled = evaluate_corpus(
+                corpus,
+                lambda series: _flag_dates(distances[id(series)], cfg),
+                policy,
+                n_boot=n_boot,
+                seed=seed,
+            )
+            row = {"window": cfg.window, "threshold_k": cfg.threshold_k, "depth": cfg.depth}
+            row.update((name, cells[i][name]) for name in names if name not in row)
+            rows[i] = {**row, **pooled.to_dict()}
+        del distances
     return rows

@@ -209,17 +209,19 @@ def _log_levels(levels: list) -> list:
     """Truncated tensor logarithm of a batch of signatures, levels (d**k, B).
 
     With x = sig - 1, sums (-1)^{n+1} x^{tensor n} / n over n <= depth.
+    x^{tensor n} is zero below level n, so those levels are neither
+    built nor added.
     """
     depth = len(levels)
     acc = [lev.copy() for lev in levels]
     power = levels
     for n in range(2, depth + 1):
-        power = [np.zeros_like(levels[0])] + [
-            sum(_outer(power[i - 1], levels[k - i - 1]) for i in range(1, k))
-            for k in range(2, depth + 1)
+        power = [None] * (n - 1) + [
+            sum(_outer(power[i - 1], levels[k - i - 1]) for i in range(n - 1, k))
+            for k in range(n, depth + 1)
         ]
         coef = (-1.0) ** (n + 1) / n
-        for k in range(depth):
+        for k in range(n - 1, depth):
             acc[k] = acc[k] + coef * power[k]
     return acc
 

@@ -5,6 +5,8 @@ a refined polyline: each original segment is split into many substeps
 and the nested integrals accumulate via trapezoidal cumulative sums.
 It never touches the tensor-exponential / Chen machinery under test.
 ``lost_clicks`` is the one-day wastage rule, as plain scalar code.
+``full_log_levels`` is the batched tensor logarithm that also forms the
+zero terms ``sigcore._log_levels`` skips.
 """
 
 import itertools
@@ -63,3 +65,27 @@ def lost_clicks(ctr_bench, ctr_t, impressions_t):
     if ctr_bench > 1 or ctr_t > 1:
         raise InvalidInputError("click-through rates cannot exceed 1")
     return max(0.0, ctr_bench - ctr_t) * impressions_t
+
+
+def full_log_levels(levels):
+    """Truncated tensor logarithm of a batch of signature levels (d**k, B).
+
+    Sums (-1)^{n+1} x^{tensor n} / n with x = sig - 1, building every
+    level of every power, including the levels below n where x^{tensor n}
+    is zero, and adding them all.
+    """
+    def outer(a, b):
+        return (a[:, None] * b[None, :]).reshape(-1, *a.shape[1:])
+
+    depth = len(levels)
+    acc = [lev.copy() for lev in levels]
+    power = levels
+    for n in range(2, depth + 1):
+        power = [np.zeros_like(levels[0])] + [
+            sum(outer(power[i - 1], levels[k - i - 1]) for i in range(1, k))
+            for k in range(2, depth + 1)
+        ]
+        coef = (-1.0) ** (n + 1) / n
+        for k in range(depth):
+            acc[k] = acc[k] + coef * power[k]
+    return acc

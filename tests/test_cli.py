@@ -291,6 +291,19 @@ class TestEvaluateAndSweep:
         assert len(lines) == 10
         assert lines[0].startswith("window,threshold_k,depth,precision")
 
+    @pytest.mark.parametrize("flag", ["--windows", "--ks", "--depths"])
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_sweep_empty_grid_list_exits_2(self, tmp_path, capsys, flag, value):
+        out_csv = tmp_path / "s.csv"
+        code = run([
+            "sweep", "--pattern", "sharp_drop", "--seed", "1", "--duration", "120",
+            "--bootstrap", "0", flag, value, "--csv", str(out_csv),
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "parameter grid" in err
+        assert not out_csv.exists()
+
 
 # one flag per method that the method does not read
 IGNORED_FLAG = {

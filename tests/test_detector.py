@@ -17,9 +17,11 @@ from sigfatigue.detector import (
 )
 from sigfatigue import detector, sigcore as sc
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
+from sigfatigue.synth import PATTERN_KINDS, generate_batch
 from sigfatigue.windowing import TimeSeries, pair_paths
 
 from conftest import START, daily_dates, series_from_ctr, sharp_drop_ctrs
+from oracle_utils import full_log_levels
 
 
 def day(n):
@@ -203,6 +205,17 @@ class TestKernelAgainstOracle:
         assert points["distance"].tolist() == [
             float(np.linalg.norm(a - b)) for a, b in zip(left, right)
         ]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
+    def test_log_distances_bit_equal_with_every_zero_term(self, monkeypatch, depth):
+        corpus = generate_batch(
+            list(PATTERN_KINDS), 2, master_seed=depth, overrides={"duration_days": 60}
+        )
+        cfg = DetectorConfig(window=7, depth=depth, feature_mode="log")
+        skipped = [distance_series(item.series, cfg) for item in corpus]
+        monkeypatch.setattr(sc, "_log_levels", full_log_levels)
+        for item, points in zip(corpus, skipped):
+            assert distance_series(item.series, cfg).tobytes() == points.tobytes()
 
 
 def greedy_merge(dates, values, threshold, merge_gap):

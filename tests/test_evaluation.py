@@ -12,7 +12,6 @@ from sigfatigue.evaluation import (
     MatchPolicy,
     bootstrap_ci,
     evaluate_corpus,
-    grid_search,
     make_method,
     match_detections,
     pool_scores,
@@ -117,6 +116,21 @@ def test_score_shift_invariance_property(detected, truth, shift):
     assert base.precision == moved.precision
     assert base.recall == moved.recall
     assert base.n_matched == moved.n_matched
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 60), max_size=8),
+    st.lists(st.integers(0, 60), max_size=4),
+    st.integers(0, 5),
+)
+def test_score_equals_conditional_formula(detected, truth, tolerance):
+    s = score(days(*detected), days(*truth), MatchPolicy(tolerance))
+    precision = s.n_matched / s.n_detected if s.n_detected else 0.0
+    recall = s.n_matched / s.n_true if s.n_true else 1.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    delay = float(np.mean(s.delays)) if s.delays else None
+    assert (s.precision, s.recall, s.f1, s.mean_delay_days) == (precision, recall, f1, delay)
 
 
 def loop_bootstrap_ci(scores, n_boot, level, seed):
@@ -282,65 +296,31 @@ def small_sharp_corpus():
 
 
 class TestGridSearch:
+    """``sensitivity_report`` scores every cell of the parameter grid."""
+
     @pytest.fixture
     def corpus(self, small_sharp_corpus):
         return small_sharp_corpus
 
     def test_single_cell_returned(self, corpus):
-        best, metrics, rows = grid_search(
-            "signature", {"window": [14], "threshold_k": [1.5]}, corpus
-        )
-        assert best == {"window": 14, "threshold_k": 1.5}
-        assert len(rows) == 1
+        rows = sensitivity_report(corpus, {"window": [14], "threshold_k": [1.5]}, n_boot=0)
+        assert [(r["window"], r["threshold_k"], r["depth"]) for r in rows] == [(14, 1.5, 3)]
 
     def test_empty_grid_rejected(self, corpus):
-        with pytest.raises(InvalidInputError):
-            grid_search("signature", {}, corpus)
+        with pytest.raises(InvalidInputError, match="parameter grid"):
+            sensitivity_report(corpus, {})
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidInputError, match="corpus must be non-empty"):
-            grid_search("signature", {"window": [14]}, [])
+            sensitivity_report([], {"window": [14]})
 
-    def test_cells_enumerate_in_sorted_name_order(self):
-        from sigfatigue.evaluation import _grid_cells
-
-        assert _grid_cells({"b": [2, 1], "a": [0]}) == [
-            {"a": 0, "b": 2},
-            {"a": 0, "b": 1},
-        ]
-
-    def test_tie_break_prefers_earlier_delay(self, corpus):
-        # every cell detects everything; the earlier-firing cell must win
-        truths = {id(item): item.truth_dates() for item in corpus}
-
-        def fake_method(shift=0, **_):
-            def run(series):
-                for item in corpus:
-                    if item.series is series:
-                        return [d + dt.timedelta(days=shift) for d in truths[id(item)]]
-                raise AssertionError("unknown series")
-
-            return run
-
-        from sigfatigue import evaluation
-
-        original = evaluation.METHODS.get("shifty")
-        evaluation.METHODS["shifty"] = fake_method
-        try:
-            best, metrics, _ = grid_search("shifty", {"shift": [2, -1, 1]}, corpus)
-        finally:
-            if original is None:
-                evaluation.METHODS.pop("shifty")
-            else:
-                evaluation.METHODS["shifty"] = original
-        assert best == {"shift": -1}
-        assert metrics.mean_delay_days == -1.0
+    def test_cells_enumerate_in_sorted_name_order(self, corpus):
+        rows = sensitivity_report(corpus, {"window": [21, 14], "depth": [2, 3]}, n_boot=0)
+        assert [(r["depth"], r["window"]) for r in rows] == [(2, 21), (2, 14), (3, 21), (3, 14)]
 
     def test_grid_shape_three_by_three(self, corpus):
-        _, _, rows = grid_search(
-            "signature",
-            {"window": [7, 14, 21], "threshold_k": [1.5, 2.0, 2.5]},
-            corpus,
+        rows = sensitivity_report(
+            corpus, {"window": [7, 14, 21], "threshold_k": [1.5, 2.0, 2.5]}, n_boot=0
         )
         assert len(rows) == 9
 
@@ -377,24 +357,17 @@ class TestDistanceReuse:
         assert len(calls) == 21 and len(set(calls)) == 21
 
     def test_sensitivity_rows_equal_per_cell_evaluation(self, corpus):
-        rows = sensitivity_report(corpus, grid=self.GRID, n_boot=20, seed=5)
+        grid, policy = {**self.GRID, "alpha": [0.05, 0.1]}, MatchPolicy(2)
+        rows = sensitivity_report(corpus, grid, policy, n_boot=20, seed=5)
+        keys = ("window", "threshold_k", "depth", "alpha", "feature_mode", "merge_gap")
         expected = []
-        for cell in self._cells(self.GRID):
+        for cell in self._cells(grid):
             _, pooled = evaluate_corpus(
-                corpus, make_method("signature", **cell), MatchPolicy(), n_boot=20, seed=5
+                corpus, make_method("signature", **cell), policy, n_boot=20, seed=5
             )
-            row = {k: cell[k] for k in ("window", "threshold_k", "depth")}
-            expected.append({**row, **pooled.to_dict()})
+            expected.append({**{k: cell[k] for k in keys}, **pooled.to_dict()})
         assert rows == expected
-
-    def test_grid_search_rows_equal_per_cell_evaluation(self, corpus):
-        grid = {**self.GRID, "alpha": [0.05, 0.1]}
-        policy = MatchPolicy(2)
-        _, _, rows = grid_search("signature", grid, corpus, policy)
-        assert rows == [
-            (cell, evaluate_corpus(corpus, make_method("signature", **cell), policy, n_boot=0)[1])
-            for cell in self._cells(grid)
-        ]
+        assert all(tuple(row)[: len(keys)] == keys for row in rows)
 
 
 class TestSensitivity:
@@ -434,19 +407,6 @@ class TestSensitivity:
         loose = evaluate_corpus(corpus, run, MatchPolicy(3), n_boot=0)[1]
         assert exact.recall == 1.0  # a flag lands exactly on the truth day
         assert loose.recall == 1.0
-
-    def test_grid_search_tunes_baselines(self):
-        corpus = generate_batch(
-            "sharp_drop", 4, master_seed=23, overrides={"duration_days": 120}
-        )
-        best, metrics, rows = grid_search(
-            "ma_crossover",
-            {"short_window": [5, 7], "long_window": [21, 28]},
-            corpus,
-        )
-        assert len(rows) == 4
-        assert set(best) == {"short_window", "long_window"}
-        assert 0.0 <= metrics.f1 <= 1.0
 
     def test_precision_trend_in_k(self, sharp_corpus):
         rows = sensitivity_report(

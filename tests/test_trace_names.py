@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import sigfatigue
+from sigfatigue import evaluation
 from sigfatigue.detector import DetectorConfig, distance_series
+from sigfatigue.synth import generate_batch
 
 from conftest import series_from_ctr, sharp_drop_ctrs
 
@@ -83,3 +85,32 @@ def test_traced_detect_records_every_stage(tracing):
     assert totals["detector.classify_trend"]["calls"] == len(report.segments)
     for span in ("detector.segment_series", "detector.distance_series", "wastage.compute_wastage"):
         assert totals[span]["calls"] == 1
+
+
+def traced_totals(tracing, run) -> dict:
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return tracer.totals()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_batch("sharp_drop", 3, master_seed=5, overrides={"duration_days": 120})
+
+
+@pytest.mark.parametrize("method", sorted(evaluation.METHODS))
+def test_traced_evaluation_attributes_each_method(tracing, corpus, method):
+    # the registry looks each detector up when it runs, so a wrapped one is seen
+    span = "detector.distance_series" if method == "signature" else f"baselines.{method}"
+    totals = traced_totals(tracing, lambda: evaluation.evaluate_corpus(corpus, method, n_boot=0))
+    assert totals[span]["calls"] == len(corpus)
+
+
+def test_traced_sweep_computes_one_distance_series_per_window(tracing, corpus):
+    totals = traced_totals(tracing, lambda: evaluation.sensitivity_report(corpus, n_boot=0))
+    assert totals["detector.distance_series"]["calls"] == 3 * len(corpus)
+    assert totals["evaluation.evaluate_corpus"]["calls"] == 9
