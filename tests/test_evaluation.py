@@ -357,13 +357,25 @@ class TestDistanceReuse:
         assert len(calls) == 21 and len(set(calls)) == 21
 
     def test_sensitivity_rows_equal_per_cell_evaluation(self, corpus):
+        rows = sensitivity_report(corpus, grid=self.GRID, n_boot=20, seed=5)
+        keys = ("window", "threshold_k", "depth", "feature_mode", "merge_gap")
+        expected = []
+        for cell in self._cells(self.GRID):
+            _, pooled = evaluate_corpus(
+                corpus, make_method("signature", **cell), MatchPolicy(), n_boot=20, seed=5
+            )
+            expected.append({**{k: cell[k] for k in keys}, **pooled.to_dict()})
+        assert rows == expected
+        assert all(tuple(row)[: len(keys)] == keys for row in rows)
+
+    def test_grid_search_rows_equal_per_cell_evaluation(self, corpus):
         grid, policy = {**self.GRID, "alpha": [0.05, 0.1]}, MatchPolicy(2)
-        rows = sensitivity_report(corpus, grid, policy, n_boot=20, seed=5)
+        rows = sensitivity_report(corpus, grid, policy, n_boot=0)
         keys = ("window", "threshold_k", "depth", "alpha", "feature_mode", "merge_gap")
         expected = []
         for cell in self._cells(grid):
             _, pooled = evaluate_corpus(
-                corpus, make_method("signature", **cell), policy, n_boot=20, seed=5
+                corpus, make_method("signature", **cell), policy, n_boot=0
             )
             expected.append({**{k: cell[k] for k in keys}, **pooled.to_dict()})
         assert rows == expected
