@@ -22,7 +22,6 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidInputError
 from .sigcore import batch_signature
@@ -211,6 +210,9 @@ def ols_slope_test(x, y) -> tuple:
     exactly 2 points fit a slope with no residual degrees of freedom, so
     p = 1.  A zero standard error gives p = 1 for a zero slope, else 0.
     """
+    # imported here, not with the module: only the trend test needs scipy (~370 ms)
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[-1]

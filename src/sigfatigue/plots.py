@@ -7,8 +7,6 @@ and a trend label per segment.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .detector import ChangePointReport
 from .windowing import TimeSeries
 
@@ -20,6 +18,24 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 36
 
 TREND_COLORS = {"improving": "#1a7f37", "declining": "#c62828", "stable": "#555555"}
+
+
+# xml.sax.saxutils.escape's three entities, plus U+FFFD for each character
+# XML 1.0 cannot hold: C0 controls but tab, LF and CR, lone surrogates
+# (the undecodable bytes of a file name) and U+FFFE, U+FFFF
+_XML_TEXT = {
+    ord("&"): "&amp;",
+    ord("<"): "&lt;",
+    ord(">"): "&gt;",
+    **dict.fromkeys(
+        [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF],
+        "\ufffd",
+    ),
+}
+
+
+def _escape(text: str) -> str:
+    return text.translate(_XML_TEXT)
 
 
 def _fmt(x: float) -> str:
@@ -57,7 +73,7 @@ def report_svg(
     if title:
         parts.append(
             f'<text x="{width // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
 
     # axes

@@ -57,6 +57,12 @@ __all__ = [
 # depth or path length, and blocks this small stay in cache.
 BLOCK_BYTES = 128 * 1024
 
+# glibc's malloc returns a free heap top to the system once it exceeds twice
+# the largest mmap'd block freed so far (128 KiB until one is).  A kernel call
+# peaks near 6 * BLOCK_BYTES, so each call would fault its temporaries in
+# afresh.  Freeing one 8 * BLOCK_BYTES block here raises that mark above it.
+np.empty(8 * BLOCK_BYTES, dtype=np.uint8)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class TensorSeq:

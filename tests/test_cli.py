@@ -83,6 +83,19 @@ class TestDetect:
         root = ET.fromstring(svg_path.read_text())
         assert root.tag.endswith("svg")
 
+    @pytest.mark.parametrize("name", [b"bad\xffname", b"ctl\x01name"], ids=["non_utf8", "control"])
+    def test_plot_title_from_any_file_name_is_xml(self, tmp_path, name):
+        csv_path, _ = gen_fixture(tmp_path)
+        odd = os.fsencode(tmp_path) + b"/" + name + b".csv"
+        Path(os.fsdecode(odd)).write_bytes(csv_path.read_bytes())
+        svg_path = tmp_path / "report.svg"
+        code = run([
+            "detect", os.fsdecode(odd), "--out", str(tmp_path / "r.json"),
+            "--plot", str(svg_path),
+        ])
+        assert code == 0
+        assert ET.parse(svg_path).getroot().tag.endswith("svg")
+
     def test_extreme_k_no_change_points(self, tmp_path):
         csv_path, _ = gen_fixture(tmp_path)
         out = tmp_path / "r.json"
@@ -388,6 +401,55 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Commands that test no trend must not load scipy, nor urllib.request (and
+# with it http.client and ssl); {tmp} is a scratch directory.
+IMPORT_FREE = {
+    "import": None,
+    "generate": ["generate", "--pattern", "sharp_drop", "--out", "{tmp}/corpus"],
+    "sweep": [
+        "sweep", "--pattern", "sharp_drop", "--duration", "60", "--bootstrap", "0",
+        "--out", "{tmp}/sweep.json",
+    ],
+    **{
+        f"evaluate_{method}": [
+            "evaluate", "--pattern", "sharp_drop", "--duration", "60", "--method", method,
+            "--out", "{tmp}/eval.json",
+        ]
+        for method in ("signature", "cusum", "ma_crossover")
+    },
+}
+
+
+def _heavy_modules_after(argv) -> list:
+    """scipy and urllib.request modules loaded by ``import sigfatigue`` and,
+    unless ``argv`` is None, ``main(argv)`` in a fresh interpreter."""
+    src = str(Path(sigfatigue.__file__).resolve().parents[1])
+    code = "import json, sys, sigfatigue\n"
+    if argv is not None:
+        code += f"from sigfatigue.cli import main\nassert main({argv!r}) == 0\n"
+    code += (
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy'"
+        " or m.startswith(('scipy.', 'urllib.request')))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", IMPORT_FREE.values(), ids=IMPORT_FREE.keys())
+def test_command_without_trend_test_leaves_scipy_unloaded(tmp_path, argv):
+    argv = argv and [a.format(tmp=tmp_path) for a in argv]
+    assert _heavy_modules_after(argv) == []
+
+
+def test_detect_loads_scipy_special(tmp_path):
+    csv_path, _ = gen_fixture(tmp_path)
+    loaded = _heavy_modules_after(["detect", str(csv_path), "--out", str(tmp_path / "r.json")])
+    assert "scipy.special" in loaded and "urllib.request" not in loaded
 
 
 # Invocations that once ended in a traceback; each must exit 2.  Paths:

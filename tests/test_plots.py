@@ -1,5 +1,26 @@
+from xml.sax.saxutils import escape
+
+from hypothesis import example, given, strategies as st
+
 from sigfatigue.detector import detect
-from sigfatigue.plots import report_svg
+from sigfatigue.plots import _escape, report_svg
+
+
+def _xml_char(c: str) -> bool:
+    """A character XML 1.0 can hold."""
+    return c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+
+
+@given(st.text(st.characters().filter(_xml_char)))
+@example("a&b<c>d\"e'")
+def test_escape_matches_saxutils_on_xml_text(text):
+    assert _escape(text) == escape(text)
+
+
+def test_escape_replaces_what_xml_cannot_hold():
+    assert _escape("\x00\x08\x0b\x0c\x0e\x1f\ud800\udcff\ufffe\uffff") == "\ufffd" * 10
+    kept = "\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff"
+    assert _escape(kept) == kept
 
 
 def test_flat_metric_spans_one_unit_around_its_value(constant_series):

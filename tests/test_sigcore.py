@@ -1,10 +1,16 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sigfatigue
 from sigfatigue import sigcore as sc
 from sigfatigue.errors import InsufficientDataError, InvalidInputError, ShapeError
 
@@ -234,6 +240,27 @@ class TestBatchSignature:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap page faults")
+    def test_repeated_calls_reuse_heap_pages(self):
+        # a fresh interpreter, so no earlier free has moved glibc's trim mark;
+        # one series' loops, as distance_series passes them, in two blocks
+        code = (
+            "import resource, numpy as np\n"
+            "from sigfatigue.sigcore import batch_signature\n"
+            "paths = np.random.default_rng(0).random((186, 16, 2))\n"
+            "batch_signature(paths, 3)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    batch_signature(paths, 3)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
+        )
+        src = str(Path(sigfatigue.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert float(out.stdout) < 10, out.stdout
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
