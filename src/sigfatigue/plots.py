@@ -12,10 +12,15 @@ from .windowing import TimeSeries
 
 __all__ = ["report_svg"]
 
+WIDTH = 900
+HEIGHT = 420
 MARGIN_LEFT = 64
 MARGIN_RIGHT = 16
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 36
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+X0, Y0 = MARGIN_LEFT, MARGIN_TOP + PLOT_H  # the axes' corner
 
 TREND_COLORS = {"improving": "#1a7f37", "declining": "#c62828", "stable": "#555555"}
 
@@ -38,17 +43,19 @@ def _escape(text: str) -> str:
     return text.translate(_XML_TEXT)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _text(x, y, anchor: str, size: int, body: str, fill: str = "") -> str:
+    fill = f' fill="{fill}"' if fill else ""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+        f'font-family="sans-serif" font-size="{size}"{fill}>{body}</text>'
+    )
 
 
-def report_svg(
-    series: TimeSeries,
-    report: ChangePointReport,
-    title: str = "",
-    width: int = 900,
-    height: int = 420,
-) -> str:
+def _line(x1, y1, x2, y2, style: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
+
+
+def report_svg(series: TimeSeries, report: ChangePointReport, title: str = "") -> str:
     """Render a detection report as an SVG document string."""
     values = series.metric_values()
     offsets = series.day_offsets()
@@ -56,80 +63,43 @@ def report_svg(
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
 
     def sx(day: float) -> float:
-        return MARGIN_LEFT + plot_w * day / span
+        return MARGIN_LEFT + PLOT_W * day / span
 
     def sy(val: float) -> float:
-        return MARGIN_TOP + plot_h * (1.0 - (val - lo) / (hi - lo))
+        return MARGIN_TOP + PLOT_H * (1.0 - (val - lo) / (hi - lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{width // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
-        )
+        parts.append(_text(WIDTH // 2, 20, "middle", 14, _escape(title)))
+    parts += [
+        _line(X0, MARGIN_TOP, X0, Y0, 'stroke="black"'),
+        _line(X0, Y0, X0 + PLOT_W, Y0, 'stroke="black"'),
+        _text(X0 - 6, f"{sy(hi) + 4:.2f}", "end", 10, f"{hi:.4g}"),
+        _text(X0 - 6, f"{sy(lo) + 4:.2f}", "end", 10, f"{lo:.4g}"),
+        _text(X0, Y0 + 16, "middle", 10, series.start_date.isoformat()),
+        _text(X0 + PLOT_W, Y0 + 16, "middle", 10, series.end_date.isoformat()),
+    ]
 
-    # axes
-    x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{MARGIN_LEFT + plot_w}" y2="{y0}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{x0 - 6}" y="{sy(hi) + 4:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{hi:.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{x0 - 6}" y="{sy(lo) + 4:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{lo:.4g}</text>'
-    )
-    parts.append(
-        f'<text x="{x0}" y="{y0 + 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="10">{series.start_date.isoformat()}</text>'
-    )
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w}" y="{y0 + 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="10">{series.end_date.isoformat()}</text>'
-    )
-
-    # metric polyline
-    coords = " ".join(
-        f"{_fmt(sx(d))},{_fmt(sy(v))}" for d, v in zip(offsets, values)
-    )
-    parts.append(
-        f'<polyline points="{coords}" fill="none" stroke="#1565c0" stroke-width="1.5"/>'
-    )
+    coords = " ".join(f"{sx(d):.2f},{sy(v):.2f}" for d, v in zip(offsets, values))
+    parts.append(f'<polyline points="{coords}" fill="none" stroke="#1565c0" stroke-width="1.5"/>')
 
     # change points as dashed verticals
     for cp in report.change_points:
-        day = (cp.date - series.start_date).days
-        x = _fmt(sx(day))
-        parts.append(
-            f'<line x1="{x}" y1="{MARGIN_TOP}" x2="{x}" y2="{y0}" '
-            f'stroke="#c62828" stroke-dasharray="5,4"/>'
-        )
-        parts.append(
-            f'<text x="{x}" y="{MARGIN_TOP - 4}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="9">{cp.date.isoformat()}</text>'
-        )
+        x = f"{sx((cp.date - series.start_date).days):.2f}"
+        parts.append(_line(x, MARGIN_TOP, x, Y0, 'stroke="#c62828" stroke-dasharray="5,4"'))
+        parts.append(_text(x, MARGIN_TOP - 4, "middle", 9, cp.date.isoformat()))
 
     # per-segment trend labels
     for seg in report.segments:
         mid = ((seg.start_date - series.start_date).days + (seg.end_date - series.start_date).days) / 2
         color = TREND_COLORS.get(seg.trend, "#555555")
-        parts.append(
-            f'<text x="{_fmt(sx(mid))}" y="{MARGIN_TOP + 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{seg.trend}</text>'
-        )
+        parts.append(_text(f"{sx(mid):.2f}", MARGIN_TOP + 14, "middle", 11, seg.trend, color))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

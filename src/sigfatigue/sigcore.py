@@ -235,7 +235,8 @@ def _log_levels(levels: list) -> list:
 def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     """Flattened truncated signatures of a batch of polylines.
 
-    ``paths`` is a (B, n, d) array of B paths with n >= 2 vertices each.
+    ``paths`` is a (B, n, d) array of B paths with n >= 2 vertices each
+    and d >= 1.
     Returns a (B, flat_length(d, depth)) array whose row b equals
     ``flatten(path_signature(paths[b], depth))``, or with ``log`` its
     ``log_signature``, bit for bit.  Blocks hold ``BLOCK_BYTES // (8 *
@@ -246,8 +247,8 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     if depth < 1:
         raise InvalidInputError(f"depth must be >= 1, got {depth}")
     paths = np.asarray(paths, dtype=float)
-    if paths.ndim != 3 or paths.shape[1] < 2:
-        raise InvalidInputError("paths must be a (B, n>=2, d) array of vertices")
+    if paths.ndim != 3 or paths.shape[1] < 2 or paths.shape[2] < 1:
+        raise InvalidInputError("paths must be a (B, n>=2, d>=1) array of vertices")
     _, n, dim = paths.shape
     out = np.empty((paths.shape[0], flat_length(dim, depth)))
     block = max(1, BLOCK_BYTES // (8 * dim**depth * (n - 1)))

@@ -73,15 +73,15 @@ def select_benchmark(segments) -> tuple:
 
 
 def _benchmark_cpc(series: TimeSeries, bench: slice, user_cpc: float | None) -> float:
+    if user_cpc is not None:
+        if not 0 <= user_cpc < math.inf:
+            raise ConfigurationError("cpc must be finite and nonnegative")
+        return float(user_cpc)
     costed = series.cost is not None
     total_clicks = int(series.clicks[bench].sum())
     if costed and total_clicks > 0:
         # left to right, as a Python sum rounds
         return sum(series.cost[bench].tolist()) / total_clicks
-    if user_cpc is not None:
-        if not 0 <= user_cpc < math.inf:
-            raise ConfigurationError("cpc must be finite and nonnegative")
-        return float(user_cpc)
     if costed:
         raise ConfigurationError(
             "benchmark segment has zero clicks, so cost data cannot yield a CPC; "
@@ -100,10 +100,10 @@ def compute_wastage(
     """Daily and total wastage for every date after the benchmark segment.
 
     The benchmark rate is the mean daily click-through rate over the
-    benchmark segment.  The benchmark cost per click comes from the
-    segment's cost data (total cost / total clicks) when present, else
-    from the ``cpc`` argument.  Days that beat the benchmark lose no
-    clicks: they clamp to zero rather than offsetting.
+    benchmark segment.  The benchmark cost per click is the ``cpc``
+    argument when given, which overrides any cost column, else the
+    segment's cost data (total cost / total clicks).  Days that beat the
+    benchmark lose no clicks: they clamp to zero rather than offsetting.
     """
     benchmark, fallback = select_benchmark(segments)
     lo = int(series.dates.searchsorted(benchmark.start_date))

@@ -218,10 +218,11 @@ def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
     Zero-impression rows are skipped with a warning.
     """
     lines, ordinals, impressions, clicks, costs = [], [], [], [], []
-    # a byte that is not UTF-8 decodes to a lone surrogate, which neither
-    # the header check nor any cell parser accepts, so it is reported as a
+    # utf-8-sig drops the byte-order mark of an Excel "CSV UTF-8" export; a
+    # byte that is not UTF-8 decodes to a lone surrogate, which neither the
+    # header check nor any cell parser accepts, so it is reported as a
     # CsvFormatError naming its line
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

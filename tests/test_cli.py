@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import os
 import subprocess
@@ -165,8 +166,6 @@ class TestWastage:
     def test_constant_series_zero_wastage(self, tmp_path):
         const = tmp_path / "const.csv"
         rows = ["date,impressions,clicks"]
-        import datetime as dt
-
         for i in range(120):
             d = dt.date(2024, 1, 1) + dt.timedelta(days=i)
             rows.append(f"{d.isoformat()},50000,1000")
@@ -174,6 +173,19 @@ class TestWastage:
         out = tmp_path / "w.json"
         assert run(["wastage", str(const), "--cpc", "1.0", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["total_wastage"] == 0.0
+
+    def test_cpc_overrides_cost_column(self, tmp_path, capsys):
+        costed = tmp_path / "cost.csv"
+        rows = ["date,impressions,clicks,cost"]
+        for i in range(120):
+            d, clicks = dt.date(2024, 1, 1) + dt.timedelta(days=i), 1000 if i < 60 else 400
+            rows.append(f"{d.isoformat()},50000,{clicks},{1.1 * clicks}")
+        costed.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "w.json"
+        assert run(["wastage", str(costed), "--cpc", "5.0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["cpc_benchmark"] == 5.0
+        assert run(["wastage", str(costed), "--cpc", "-3"]) == 2
+        assert "cpc" in capsys.readouterr().err
 
 
 class TestEvaluateAndSweep:

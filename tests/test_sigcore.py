@@ -269,6 +269,8 @@ class TestBatchSignature:
             sc.batch_signature(np.zeros((2, 1, 2)), 2)
         with pytest.raises(InvalidInputError):
             sc.batch_signature(np.zeros((3, 2)), 2)
+        with pytest.raises(InvalidInputError):
+            sc.batch_signature(np.zeros((2, 3, 0)), 2)
         paths = np.zeros((block_paths(3, 2, 2) + 2, 3, 2))
         paths[-1, 1, 0] = np.inf  # in the second block
         with pytest.raises(InvalidInputError):

@@ -127,7 +127,16 @@ class TestComputeWastage:
         report = compute_wastage(series, self.segments())
         assert report.cpc_benchmark == pytest.approx(1.25, rel=1e-12)
 
-    @pytest.mark.parametrize("cpc, cost_per_click", [(1e306, None), (None, 1e304)])
+    def test_cpc_overrides_cost_column(self):
+        series = self.build(cost_per_click=1.1)
+        report = compute_wastage(series, self.segments(), cpc=5.0)
+        assert report.cpc_benchmark == 5.0
+        assert report.total_wastage == pytest.approx(30 * 1000.0 * 5.0, rel=1e-12)
+
+    # (1e305, None): each day's product is finite, and only the 30-day sum overflows
+    @pytest.mark.parametrize(
+        "cpc, cost_per_click", [(1e306, None), (None, 1e304), (1e305, None)]
+    )
     def test_overflowing_wastage_rejected(self, cpc, cost_per_click):
         series = self.build(cost_per_click=cost_per_click)
         with pytest.raises(InvalidInputError, match="overflows"):

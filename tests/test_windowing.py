@@ -266,6 +266,16 @@ class TestCsvIO:
         for column in ("dates", "impressions", "clicks", "cost"):
             assert np.array_equal(getattr(back, column), getattr(series, column))
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "date,impressions,clicks,cost\n2024-01-01,100,5,2.5\n2024-01-02,100,7,3.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = read_series_csv(plain), read_series_csv(marked)
+        for column in ("dates", "impressions", "clicks", "cost"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+
     def test_cost_column_optional(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("date,impressions,clicks\n2024-01-01,100,5\n2024-01-02,100,7\n")
