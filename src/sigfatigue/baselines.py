@@ -19,6 +19,8 @@ from .windowing import TimeSeries
 
 __all__ = ["ma_crossover", "cusum", "rolling_regression"]
 
+BURN_IN = 14  # observations that calibrate cusum's standardization
+
 
 def ma_crossover(series: TimeSeries, short_window: int = 7, long_window: int = 28) -> list:
     """Dates where the short moving average crosses below the long one.
@@ -55,16 +57,11 @@ def ma_crossover(series: TimeSeries, short_window: int = 7, long_window: int = 2
     return series.dates[flags].tolist()
 
 
-def cusum(
-    series: TimeSeries,
-    reference_k: float = 0.5,
-    decision_h: float = 5.0,
-    burn_in: int = 14,
-) -> list:
+def cusum(series: TimeSeries, reference_k: float = 0.5, decision_h: float = 5.0) -> list:
     """Two-sided standardized CUSUM with burn-in calibration.
 
     Observations are standardized by the mean and population standard
-    deviation of the first ``burn_in`` points; the usual one-sided
+    deviation of the first ``BURN_IN`` points; the usual one-sided
     recursions accumulate standardized drift beyond ``reference_k`` and
     flag (then reset) when either side exceeds ``decision_h``.
     """
@@ -75,7 +72,7 @@ def cusum(
     n = len(series)
     if n < 10:
         raise InsufficientDataError(f"series has {n} observations, need at least 10")
-    burn_in = min(burn_in, n)
+    burn_in = min(BURN_IN, n)
     values = series.metric_values()
     if np.all(values[:burn_in] == values[0]):
         if np.all(values == values[0]):

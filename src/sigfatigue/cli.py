@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .detector import DetectorConfig, detect
+from .detector import FEATURE_MODES, DetectorConfig, detect
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -31,7 +31,9 @@ from .errors import (
     SigFatigueError,
 )
 from .evaluation import (
+    DEFAULT_GRID,
     METHODS,
+    N_BOOT,
     MatchPolicy,
     evaluate_corpus,
     make_method,
@@ -90,31 +92,33 @@ SIGNATURE_READERS = ("signature", "report")
 DETECTOR_FLAGS = {
     "window": (
         {"type": int, "help": "window size in observations"},
-        14, "window", (*SIGNATURE_READERS, "rolling_regression"),
+        DetectorConfig.window, "window", (*SIGNATURE_READERS, "rolling_regression"),
     ),
     "depth": (
-        {"type": int, "help": "signature truncation depth"}, 3, "depth", SIGNATURE_READERS,
+        {"type": int, "help": "signature truncation depth"},
+        DetectorConfig.depth, "depth", SIGNATURE_READERS,
     ),
     "k": (
-        {"type": float, "help": "threshold multiplier"}, 2.0, "threshold_k", SIGNATURE_READERS,
+        {"type": float, "help": "threshold multiplier"},
+        DetectorConfig.threshold_k, "threshold_k", SIGNATURE_READERS,
     ),
     "alpha": (
         {"type": float, "help": "trend-test significance level"},
-        0.05, "alpha", ("report", "rolling_regression"),
+        DetectorConfig.alpha, "alpha", ("report", "rolling_regression"),
     ),
     "merge_gap": (
         {
             "type": int,
             "help": "merge flags within this many days (default: window, or 0 when scoring)",
         },
-        None, "merge_gap", SIGNATURE_READERS,
+        DetectorConfig.merge_gap, "merge_gap", SIGNATURE_READERS,
     ),
     "feature_mode": (
         {
-            "choices": ("full", "log"),
+            "choices": FEATURE_MODES,
             "help": "distance features: full signature or its tensor logarithm",
         },
-        "full", "feature_mode", SIGNATURE_READERS,
+        DetectorConfig.feature_mode, "feature_mode", SIGNATURE_READERS,
     ),
 }
 METHOD_FLAGS = {
@@ -388,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerance = {"type": int, "default": MatchPolicy.tolerance_days}
 
     p_gen = sub.add_parser("generate", help="write synthetic series and manifests")
     _add_pattern_flags(p_gen)
@@ -414,17 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_flags(p_eval, corpus=True)
     _add_method_flags(p_eval)
     _add_analysis_flags(p_eval)
-    p_eval.add_argument("--tolerance", type=int, default=3, help="match tolerance in days")
+    p_eval.add_argument("--tolerance", **tolerance, help="match tolerance in days")
     p_eval.add_argument("--out", default=None, help="metrics JSON path (default stdout)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="signature metrics over a parameter grid")
     _add_pattern_flags(p_sweep, corpus=True)
-    p_sweep.add_argument("--windows", type=int_list, default="7,14,21")
-    p_sweep.add_argument("--ks", type=float_list, default="1.5,2.0,2.5")
-    p_sweep.add_argument("--depths", type=int_list, default="3")
-    p_sweep.add_argument("--tolerance", type=int, default=3)
-    p_sweep.add_argument("--bootstrap", type=int, default=100)
+    p_sweep.add_argument("--windows", type=int_list, default=DEFAULT_GRID["window"])
+    p_sweep.add_argument("--ks", type=float_list, default=DEFAULT_GRID["threshold_k"])
+    p_sweep.add_argument("--depths", type=int_list, default=DEFAULT_GRID["depth"])
+    p_sweep.add_argument("--tolerance", **tolerance)
+    p_sweep.add_argument("--bootstrap", type=int, default=N_BOOT)
     p_sweep.add_argument("--out", default=None, help="rows JSON path (default stdout)")
     p_sweep.add_argument("--csv", default=None, help="also write rows as CSV here")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -254,14 +254,15 @@ def segment_series(series: TimeSeries, change_dates, alpha: float = 0.05) -> lis
     """Partition the series span at change point dates and label trends.
 
     n change points produce n + 1 contiguous calendar segments; each
-    change point date starts a new segment.
+    change point date starts a new segment, so it must fall after the
+    series' first date and no later than its last.
     """
     change_dates = sorted(set(change_dates))
     for d in change_dates:
-        if not (series.start_date <= d <= series.end_date):
+        if not (series.start_date < d <= series.end_date):
             raise InvalidInputError(
                 f"change point {d} outside series span "
-                f"[{series.start_date}, {series.end_date}]"
+                f"({series.start_date}, {series.end_date}]"
             )
     starts = [series.start_date] + change_dates
     ends = [d - dt.timedelta(days=1) for d in change_dates] + [series.end_date]

@@ -48,6 +48,9 @@ __all__ = [
 
 # bootstrap_ci draws an (n_boot, n_series) index array in one call
 MAX_BOOTSTRAP = 10_000
+N_BOOT = 100  # bootstrap resamples by default
+# the parameter grid sensitivity_report sweeps by default
+DEFAULT_GRID = {"window": (7, 14, 21), "threshold_k": (1.5, 2.0, 2.5), "depth": (3,)}
 
 
 def _check_n_boot(n_boot: int) -> None:
@@ -169,7 +172,7 @@ def pool_scores(scores) -> EvalMetrics:
     )
 
 
-def bootstrap_ci(scores, n_boot: int = 100, level: float = 0.95, seed: int = 0) -> dict:
+def bootstrap_ci(scores, n_boot: int = N_BOOT, level: float = 0.95, seed: int = 0) -> dict:
     """Percentile bootstrap over series for each pooled metric.
 
     ``n_boot`` is from 0 to ``MAX_BOOTSTRAP``.  All resamples are drawn
@@ -228,7 +231,7 @@ METHODS = {
     "signature": _signature_method,
     **{
         name: functools.partial(_baseline_method, name)
-        for name in ("ma_crossover", "cusum", "rolling_regression")
+        for name in baselines.__all__
     },
 }
 
@@ -246,7 +249,7 @@ def evaluate_corpus(
     corpus,
     method,
     policy: MatchPolicy = MatchPolicy(),
-    n_boot: int = 100,
+    n_boot: int = N_BOOT,
     seed: int = 0,
 ) -> tuple:
     """Score a method over a corpus.
@@ -273,25 +276,23 @@ def sensitivity_report(
     corpus,
     grid: dict | None = None,
     policy: MatchPolicy = MatchPolicy(),
-    n_boot: int = 100,
+    n_boot: int = N_BOOT,
     seed: int = 0,
 ) -> list:
     """One row of signature-method metrics per parameter-grid cell.
 
-    The default grid sweeps window in {7, 14, 21} and threshold_k in
-    {1.5, 2.0, 2.5} at depth 3.  Rows follow the cells in lexicographic
-    order of the sorted parameter names.  Each row names its cell (the
-    cell's window, threshold_k and depth, then any other grid parameter
-    in sorted order) and carries pooled metrics plus bootstrap
-    intervals.
+    ``grid`` defaults to ``DEFAULT_GRID``.  Rows follow the cells in
+    lexicographic order of the sorted parameter names.  Each row names
+    its cell (the cell's window, threshold_k and depth, then any other
+    grid parameter in sorted order) and carries pooled metrics plus
+    bootstrap intervals.
 
     ``distance_series`` reads only window, depth and feature_mode, so
     the cells that differ in nothing else share one distance series per
     corpus series.  Each group's distances are dropped before the next
     group's are computed.
     """
-    if grid is None:
-        grid = {"window": [7, 14, 21], "threshold_k": [1.5, 2.0, 2.5], "depth": [3]}
+    grid = DEFAULT_GRID if grid is None else grid
     if not grid or not all(len(v) for v in grid.values()):
         raise InvalidInputError(f"parameter grid needs a non-empty list per parameter, got {grid}")
     _check_n_boot(n_boot)

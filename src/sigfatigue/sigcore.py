@@ -267,24 +267,21 @@ def path_signature(path, depth: int) -> TensorSeq:
     """Exact truncated signature of a piecewise-linear path.
 
     Equivalent to folding ``segment_signature`` over the consecutive
-    vertex increments with ``chen_concat``; computed by the batched
-    kernel on a batch of one.  ``path`` is an (n, d) vertex array.
+    vertex increments with ``chen_concat``; computed by
+    ``batch_signature`` on a batch of one.  ``path`` is an (n, d) vertex
+    array.
     """
-    if depth < 1:
-        raise InvalidInputError(f"depth must be >= 1, got {depth}")
     pts = np.asarray(path, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise InvalidInputError("path must be an (n, d) array of vertices")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("path vertices must be finite")
     if pts.shape[0] < 2:
         raise InsufficientDataError(
             f"path needs at least 2 points, got {pts.shape[0]}"
         )
-    levels = _signature_levels(pts[None], depth)
-    return TensorSeq(
-        dim=pts.shape[1], depth=depth, level0=1.0, levels=tuple(lev[:, 0] for lev in levels)
-    )
+    row = batch_signature(pts[None], depth)[0]
+    dim = pts.shape[1]
+    ends = np.cumsum([dim**k for k in range(1, depth)], dtype=int)
+    return TensorSeq(dim=dim, depth=depth, level0=1.0, levels=tuple(np.split(row, ends)))
 
 
 def log_signature(sig: TensorSeq) -> TensorSeq:

@@ -65,15 +65,19 @@ PATTERN_KINDS = (
     "non_continuous",
 )
 
-# documented sampling ranges for batch generation
-BASELINE_CTR_RANGE = (0.005, 0.03)
-WEEKLY_DECAY_RANGE = (0.02, 0.08)
-NOISE_CV_RANGE = (0.10, 0.30)
-DURATION_RANGE = (30, 180)
-DROP_FACTOR_RANGE = (0.4, 0.7)
-STAGE_DROP_RANGE = (0.15, 0.25)
+# documented ranges, field -> (lo, hi), in the order generate_batch draws
+# them: uniformly, and as whole numbers where the bounds are ints
+RANGES = {
+    "baseline_ctr": (0.005, 0.03),
+    "weekly_decay_rate": (0.02, 0.08),
+    "noise_cv": (0.10, 0.30),
+    "duration_days": (30, 180),
+    "drop_factor": (0.4, 0.7),
+    "n_stages": (2, 3),
+    "stage_drop": (0.15, 0.25),
+}
 
-VOLATILE_NOISE_CV = NOISE_CV_RANGE[1]
+VOLATILE_NOISE_CV = RANGES["noise_cv"][1]
 RECOVERY_LEVEL = 0.7
 DECAY_FLOOR = 0.1
 IMPRESSIONS_CV = 0.2
@@ -112,34 +116,20 @@ class PatternSpec:
         if self.kind not in PATTERN_KINDS:
             v.append(f"kind must be one of {PATTERN_KINDS}, got {self.kind!r}")
             return v
-        lo, hi = BASELINE_CTR_RANGE
-        if not lo <= self.baseline_ctr <= hi:
-            v.append(f"baseline_ctr {self.baseline_ctr} outside [{lo}, {hi}]")
-        lo, hi = WEEKLY_DECAY_RANGE
-        if not lo <= self.weekly_decay_rate <= hi:
-            v.append(f"weekly_decay_rate {self.weekly_decay_rate} outside [{lo}, {hi}]")
-        # noise_cv == 0 is explicitly allowed for reproducible noiseless fixtures
-        if self.noise_cv != 0.0 and not 0.0 < self.noise_cv <= NOISE_CV_RANGE[1]:
-            v.append(
-                f"noise_cv {self.noise_cv} outside [0, {NOISE_CV_RANGE[1]}]"
-            )
-        lo, hi = DURATION_RANGE
-        if not lo <= self.duration_days <= hi:
-            v.append(f"duration_days {self.duration_days} outside [{lo}, {hi}]")
-        elif self.start_date > dt.date.max - dt.timedelta(days=self.duration_days - 1):
-            v.append(f"start_date {self.start_date} leaves fewer than {self.duration_days} days")
+        for name, (lo, hi) in RANGES.items():
+            value = getattr(self, name)
+            if name == "noise_cv":
+                lo = 0  # 0 is allowed, for reproducible noiseless fixtures
+            if not lo <= value <= hi:
+                v.append(f"{name} {value} outside [{lo}, {hi}]")
+            elif isinstance(hi, int) and not isinstance(value, (int, np.integer)):
+                v.append(f"{name} {value} must be an integer")
+            elif name == "duration_days" and (dt.date.max - self.start_date).days < value - 1:
+                v.append(f"start_date {self.start_date} leaves fewer than {value} days")
         if not 1 <= self.impressions_mean <= MAX_IMPRESSIONS_MEAN:
             v.append(f"impressions_mean {self.impressions_mean} outside [1, 2**53]")
         if not 0.0 <= self.gap_fraction < 1.0:
             v.append(f"gap_fraction {self.gap_fraction} outside [0, 1)")
-        lo, hi = DROP_FACTOR_RANGE
-        if not lo <= self.drop_factor <= hi:
-            v.append(f"drop_factor {self.drop_factor} outside [{lo}, {hi}]")
-        if self.n_stages not in (2, 3):
-            v.append(f"n_stages {self.n_stages} must be 2 or 3")
-        lo, hi = STAGE_DROP_RANGE
-        if not lo <= self.stage_drop <= hi:
-            v.append(f"stage_drop {self.stage_drop} outside [{lo}, {hi}]")
         if self.kind == "non_continuous" and (
             self.base_kind == "non_continuous" or self.base_kind not in PATTERN_KINDS
         ):
@@ -187,12 +177,17 @@ class GeneratedSeries:
         return self.truth.change_dates(self.spec.start_date)
 
 
+def _shape(spec: PatternSpec) -> str:
+    """The kind whose curve a spec draws: a gapped series draws its base kind."""
+    return spec.base_kind if spec.kind == "non_continuous" else spec.kind
+
+
 def default_change_days(spec: PatternSpec) -> list:
     """Per-kind default breakpoints used when none are supplied."""
     if spec.change_days is not None:
         return list(spec.change_days)
     T = spec.duration_days
-    kind = spec.base_kind if spec.kind == "non_continuous" else spec.kind
+    kind = _shape(spec)
     if kind == "classic_wear_out":
         return [max(2, T // 4)]
     if kind == "sharp_drop":
@@ -205,20 +200,13 @@ def default_change_days(spec: PatternSpec) -> list:
     return [min(20, T - 2)]
 
 
-def _effective_noise_cv(spec: PatternSpec) -> float:
-    kind = spec.base_kind if spec.kind == "non_continuous" else spec.kind
-    if kind == "volatile_decline" and spec.noise_cv != 0.0:
-        return VOLATILE_NOISE_CV
-    return spec.noise_cv
-
-
 def clean_ctr_curve(spec: PatternSpec) -> np.ndarray:
     """Noise-free click-through rate for days 1..duration_days."""
     T = spec.duration_days
     t = np.arange(1, T + 1, dtype=float)
     base = spec.baseline_ctr
     days = default_change_days(spec)
-    kind = spec.base_kind if spec.kind == "non_continuous" else spec.kind
+    kind = _shape(spec)
     daily = spec.weekly_decay_rate / 7.0
 
     if kind == "sharp_drop":
@@ -276,7 +264,9 @@ def generate(spec: PatternSpec) -> tuple:
     rng = np.random.default_rng(spec.seed)
     T = spec.duration_days
     clean = clean_ctr_curve(spec)
-    cv = _effective_noise_cv(spec)
+    cv = spec.noise_cv
+    if _shape(spec) == "volatile_decline" and cv != 0.0:
+        cv = VOLATILE_NOISE_CV
 
     if cv == 0.0:
         impressions = np.full(T, spec.impressions_mean, dtype=int)
@@ -309,19 +299,12 @@ def generate(spec: PatternSpec) -> tuple:
 
 
 def _sample_spec(kind: str, rng: np.random.Generator, overrides: dict) -> PatternSpec:
-    fields = {
-        "kind": kind,
-        "baseline_ctr": float(rng.uniform(*BASELINE_CTR_RANGE)),
-        "weekly_decay_rate": float(rng.uniform(*WEEKLY_DECAY_RANGE)),
-        "noise_cv": float(rng.uniform(*NOISE_CV_RANGE)),
-        "duration_days": int(rng.integers(DURATION_RANGE[0], DURATION_RANGE[1] + 1)),
-        "drop_factor": float(rng.uniform(*DROP_FACTOR_RANGE)),
-        "n_stages": int(rng.integers(2, 4)),
-        "stage_drop": float(rng.uniform(*STAGE_DROP_RANGE)),
-        "seed": int(rng.integers(0, 2**63 - 1)),
-    }
-    fields.update(overrides)
-    return PatternSpec(**fields)
+    fields = {"kind": kind}
+    for name, (lo, hi) in RANGES.items():
+        whole = isinstance(hi, int)
+        fields[name] = int(rng.integers(lo, hi + 1)) if whole else float(rng.uniform(lo, hi))
+    fields["seed"] = int(rng.integers(0, 2**63 - 1))
+    return PatternSpec(**{**fields, **overrides})
 
 
 def generate_batch(

@@ -67,9 +67,8 @@ def select_benchmark(segments) -> tuple:
     if not segments:
         raise InvalidInputError("cannot select a benchmark from zero segments")
     eligible = [s for s in segments if s.trend in ("stable", "improving")]
-    if eligible:
-        return max(eligible, key=lambda s: (s.mean_metric, s.start_date.toordinal() * -1)), False
-    return max(segments, key=lambda s: (s.mean_metric, s.start_date.toordinal() * -1)), True
+    best = max(eligible or segments, key=lambda s: (s.mean_metric, -s.start_date.toordinal()))
+    return best, not eligible
 
 
 def _benchmark_cpc(series: TimeSeries, bench: slice, user_cpc: float | None) -> float:

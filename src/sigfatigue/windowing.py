@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 METRICS = ("ctr", "clicks", "impressions", "cost")
+HEADER = ("date", "impressions", "clicks", "cost")  # of the CSV; cost is optional
+# squared and summed over the ~3.65e6 days a date column can hold, a cost
+# analysed as the metric stays finite up to this bound
+MAX_COST_METRIC = 1e150
 SCHEMA_VERSION = 1  # of every JSON report and manifest
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
@@ -73,10 +77,11 @@ def _array_dicts(array) -> list:
     return [dict(zip(names, row)) for row in zip(*columns)]
 
 
-def _invalid_row(dates, impressions, clicks, cost):
+def _invalid_row(dates, impressions, clicks, cost, metric):
     """(index, message) of the first row that breaks a column rule, or None.
 
-    Row values are checked first, in row order, then date order.
+    Row values are checked first, in row order, then date order.  Only a
+    series that analyses ``cost`` holds its cost to ``MAX_COST_METRIC``.
     """
     rules = [
         (impressions <= 0, "impressions must be positive (zero-impression days "
@@ -85,6 +90,8 @@ def _invalid_row(dates, impressions, clicks, cost):
     ]
     if cost is not None:
         rules.append((~((cost >= 0) & (cost < math.inf)), "cost must be finite and nonnegative"))
+    if cost is not None and metric == "cost":
+        rules.append((cost > MAX_COST_METRIC, f"cost must be <= {MAX_COST_METRIC:g} as the metric"))
     broken = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(rules) if mask.any()]
     if broken:
         i, k = min(broken)
@@ -131,7 +138,7 @@ class TimeSeries:
             )
         if len(self.dates) < 1:
             raise InvalidInputError("series must contain at least one point")
-        bad = _invalid_row(self.dates, self.impressions, self.clicks, self.cost)
+        bad = _invalid_row(self.dates, self.impressions, self.clicks, self.cost, self.metric)
         if bad is not None:
             raise InvalidInputError(bad[1])
         if self.metric not in METRICS:
@@ -228,10 +235,8 @@ def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError("empty file", 1) from None
-        header = [h.strip().lower() for h in header]
-        if header[:3] != ["date", "impressions", "clicks"] or (
-            len(header) == 4 and header[3] != "cost"
-        ) or len(header) > 4:
+        header = tuple(h.strip().lower() for h in header)
+        if header not in (HEADER[:3], HEADER):
             raise CsvFormatError(
                 "header must be 'date,impressions,clicks[,cost]'", 1
             )
@@ -271,7 +276,7 @@ def read_series_csv(path, metric: str = "ctr") -> TimeSeries:
         np.array(clicks, dtype=np.int64),
         np.array(costs) if has_cost else None,
     )
-    bad = _invalid_row(*columns)
+    bad = _invalid_row(*columns, metric)
     if bad is not None:
         raise CsvFormatError(bad[1], lines[bad[0]])
     return TimeSeries(*columns, metric=metric)
@@ -284,12 +289,10 @@ def write_series_csv(series: TimeSeries, path) -> None:
         series.impressions.tolist(),
         series.clicks.tolist(),
     ]
-    header = ["date", "impressions", "clicks"]
     if series.cost is not None:
         # tolist gives Python floats, whose repr is the shortest round trip
         columns.append([repr(c) for c in series.cost.tolist()])
-        header.append("cost")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
+        writer.writerow(HEADER[: len(columns)])
         writer.writerows(zip(*columns))

@@ -1,18 +1,21 @@
 import datetime as dt
+import json
+import warnings
 
 import numpy as np
 import pytest
 
 from sigfatigue.baselines import cusum, ma_crossover, rolling_regression
-from sigfatigue.detector import ols_slope_test
+from sigfatigue.detector import detect, ols_slope_test
 from sigfatigue.errors import (
     DegenerateInputError,
     InsufficientDataError,
     InvalidInputError,
 )
 from sigfatigue.synth import PATTERN_KINDS, generate_batch
+from sigfatigue.windowing import MAX_COST_METRIC, TimeSeries
 
-from conftest import START, series_from_ctr, sharp_drop_ctrs
+from conftest import START, daily_dates, series_from_ctr, sharp_drop_ctrs
 
 
 def day(n):
@@ -156,3 +159,21 @@ class TestRollingRegressionAgainstLoop:
         series = series_from_ctr([0.03 - 0.001 * t for t in range(n)])
         assert rolling_regression(series, 7) == loop_rolling_regression(series, 7)
         assert (rolling_regression(series, 7) == []) == (n < 7)
+
+
+def test_every_method_runs_at_the_cost_metric_bound():
+    # 2,000 noisy costs that peak at the bound and halve at day 1,001: every
+    # sum of squares a method takes must stay finite
+    rng = np.random.default_rng(0)
+    level = np.where(np.arange(2_000) < 1_000, 1.0, 0.5)
+    cost = MAX_COST_METRIC * level * rng.uniform(0.9, 1.0, 2_000)
+    cost[0] = MAX_COST_METRIC
+    series = TimeSeries(dates=daily_dates(2_000), impressions=np.full(2_000, 100),
+                        clicks=np.full(2_000, 5), cost=cost, metric="cost")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = detect(series)
+        json.dumps(report.to_dict(), allow_nan=False)
+        assert report.change_points
+        for method in (ma_crossover, cusum, rolling_regression):
+            assert method(series)

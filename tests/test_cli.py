@@ -1,4 +1,5 @@
 import datetime as dt
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import sigfatigue
-from sigfatigue import detector, evaluation
-from sigfatigue.cli import SPEC_FLAGS, _dump_json, build_parser, main
+from sigfatigue import baselines, detector, evaluation
+from sigfatigue.cli import METHOD_FLAGS, SPEC_FLAGS, _dump_json, build_parser, main
 from sigfatigue.evaluation import METHODS
 
 
@@ -380,6 +381,11 @@ def test_evaluate_default_params(tmp_path, method, params):
     assert json.loads(out.read_text())["params"] == params
 
 
+def test_method_flag_defaults_match_the_baselines():
+    for _, default, param, (reader,) in METHOD_FLAGS.values():
+        assert default == inspect.signature(getattr(baselines, reader)).parameters[param].default
+
+
 def test_unknown_method_choices_guard():
     with pytest.raises(SystemExit) as err:
         main(["evaluate", "--pattern", "sharp_drop", "--method", "nope"])
@@ -491,6 +497,9 @@ BAD_INVOCATIONS = [
     ["generate", "--pattern", "sharp_drop", "--start-date", "9999-12-01", "--out", "{missing}"],
     ["evaluate", "--corpus", "{empty}"],
     ["sweep", "--corpus", "{csvless}"],
+    ["detect", "{huge}", "--metric", "cost"],
+    ["detect", "{huge}", "--metric", "cost", "--method", "cusum"],
+    ["wastage", "{huge}", "--metric", "cost"],
 ]
 
 
@@ -499,8 +508,14 @@ def bad_inputs(tmp_path):
     csv_path, manifest_path = gen_fixture(tmp_path, extra=("--noise-cv", "0.1"))
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes(b"date,impressions,clicks\n2024-01-01,100,5\n2024-01-02,1\xff0,5\n")
+    # a cost too large to square, as the metric
+    huge = tmp_path / "huge.csv"
+    huge.write_text("date,impressions,clicks,cost\n" + "".join(
+        f"{dt.date(2024, 1, 1) + dt.timedelta(days=i)},100,5,1e300\n" for i in range(60)
+    ))
     paths = {"csv": csv_path, "file": manifest_path, "missing": tmp_path / "missing",
-             "latin1": latin1, "empty": tmp_path / "empty", "csvless": tmp_path / "csvless"}
+             "latin1": latin1, "empty": tmp_path / "empty", "csvless": tmp_path / "csvless",
+             "huge": huge}
     paths["empty"].mkdir()
     paths["csvless"].mkdir()
     (paths["csvless"] / "s.manifest.json").write_bytes(manifest_path.read_bytes())

@@ -69,7 +69,7 @@ BOUNDED = {
 }
 PATH_FLAGS = ("out", "plot", "daily_csv", "csv")
 CELL_JUNK = st.sampled_from(
-    ["", "abc", "nan", "inf", "-1", "1e309", "x,y", "2024-13-01", "9" * 30, '"']
+    ["", "abc", "nan", "inf", "-1", "1e300", "1e309", "x,y", "2024-13-01", "9" * 30, '"']
 )
 
 

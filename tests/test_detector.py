@@ -547,6 +547,9 @@ class TestSegmentSeries:
     def test_out_of_span_rejected(self, sharp_series):
         with pytest.raises(InvalidInputError):
             segment_series(sharp_series, [day(500)])
+        # the first date already starts the first segment
+        with pytest.raises(InvalidInputError, match="outside series span"):
+            segment_series(sharp_series, [day(1)])
 
     def test_mean_metric_per_segment(self, sharp_series):
         segments = segment_series(sharp_series, [day(61)])

@@ -50,6 +50,43 @@ class TestValidation:
         spec = PatternSpec(kind="sharp_drop", duration_days=60, change_days=(80,))
         assert spec.validate()
 
+    # one bad value per rule; the change-day count rule names the change days
+    @pytest.mark.parametrize(
+        "name, fields",
+        [
+            ("kind", {"kind": "mystery"}),
+            ("baseline_ctr", {"baseline_ctr": 0.2}),
+            ("weekly_decay_rate", {"weekly_decay_rate": 0.01}),
+            ("noise_cv", {"noise_cv": -0.1}),
+            ("noise_cv", {"noise_cv": 0.5}),
+            ("duration_days", {"duration_days": 29}),
+            ("duration_days", {"duration_days": 181}),
+            ("start_date", {"start_date": dt.date.max}),
+            ("impressions_mean", {"impressions_mean": 0}),
+            ("gap_fraction", {"gap_fraction": 1.0}),
+            ("drop_factor", {"drop_factor": 0.8}),
+            ("n_stages", {"n_stages": 4}),
+            ("n_stages", {"n_stages": 2.5}),
+            ("stage_drop", {"stage_drop": 0.1}),
+            ("base_kind", {"kind": "non_continuous", "base_kind": "non_continuous"}),
+            ("base_kind", {"kind": "non_continuous", "base_kind": "mystery"}),
+            ("min_observations", {"min_observations": 3}),
+            ("change day", {"change_days": (30, 60)}),
+            ("change_days", {"duration_days": 60, "change_days": (80,)}),
+            ("change_days", {"kind": "fatigue_recovery", "change_days": (50, 40)}),
+        ],
+    )
+    def test_each_rule_gives_one_violation_naming_its_field(self, name, fields):
+        (violation,) = PatternSpec(**{"kind": "sharp_drop", **fields}).validate()
+        assert name in violation
+
+    @pytest.mark.parametrize("name, value", [("duration_days", 100.0), ("n_stages", 2.0)])
+    def test_whole_number_fields_reject_floats(self, name, value):
+        spec = PatternSpec(kind="multi_stage_decline", **{name: value})
+        assert spec.validate() == [f"{name} {value} must be an integer"]
+        with pytest.raises(PatternSpecError):
+            generate(spec)
+
     def test_series_must_end_by_the_last_date(self):
         fits = PatternSpec(kind="sharp_drop", duration_days=60,
                            start_date=dt.date.max - dt.timedelta(days=59))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sigfatigue.errors import CsvFormatError, InsufficientDataError, InvalidInputError
 from sigfatigue.detector import segment_series
 from sigfatigue.windowing import (
+    MAX_COST_METRIC,
     TimeSeries,
     pair_paths,
     read_series_csv,
@@ -47,6 +48,14 @@ class TestSeriesPoint:
     def test_rejects_non_finite_cost(self, cost):
         with pytest.raises(InvalidInputError, match="finite"):
             point(10, 1, cost=cost)
+
+    def test_cost_metric_bounded(self):
+        above = np.nextafter(MAX_COST_METRIC, np.inf)
+        assert point(10, 1, cost=above).cost[0] == above  # bounded only when analysed
+        TimeSeries(dates=[START], impressions=[10], clicks=[1], cost=[MAX_COST_METRIC],
+                   metric="cost")
+        with pytest.raises(InvalidInputError, match="cost must be <="):
+            TimeSeries(dates=[START], impressions=[10], clicks=[1], cost=[above], metric="cost")
 
     def test_metric_selector(self):
         p = point(200, 30, cost=12.0)
@@ -357,6 +366,16 @@ class TestCsvIO:
         with pytest.raises(CsvFormatError, match=expected) as err:
             read_series_csv(path)
         assert err.value.line_number == 4
+
+    def test_cost_above_metric_bound_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "date,impressions,clicks,cost\n2024-01-01,100,5,1e150\n2024-01-02,100,5,1e151\n"
+        )
+        assert read_series_csv(path).cost[1] == 1e151
+        with pytest.raises(CsvFormatError, match="cost must be <=") as err:
+            read_series_csv(path, metric="cost")
+        assert err.value.line_number == 3
 
     def test_empty_cost_cell_names_line(self, tmp_path):
         path = tmp_path / "s.csv"
