@@ -39,22 +39,15 @@ def ma_crossover(series: TimeSeries, short_window: int = 7, long_window: int = 2
             f"series has {n} observations, need at least {long_window + 1}"
         )
     values = series.metric_values()
-
-    # fsum keeps equal-valued windows exactly equal, so flat stretches do
-    # not produce spurious crossings from accumulated rounding
-    def trailing_mean(end_idx: int, width: int) -> float:
-        return math.fsum(values[end_idx + 1 - width : end_idx + 1]) / width
-
-    flags = []
-    above = None
-    for i in range(long_window - 1, n):
-        short = trailing_mean(i, short_window)
-        long = trailing_mean(i, long_window)
-        now_above = short >= long
-        if above is True and not now_above:
-            flags.append(i)
-        above = now_above
-    return series.dates[flags].tolist()
+    # trailing means at observations long_window - 1 .. n - 1; fsum keeps
+    # equal-valued windows exactly equal, so flat stretches do not produce
+    # spurious crossings from accumulated rounding
+    means = []
+    for width in (short_window, long_window):
+        rows = sliding_window_view(values[long_window - width :], width).tolist()
+        means.append(np.array([math.fsum(row) for row in rows]) / width)
+    above = means[0] >= means[1]
+    return series.dates[np.flatnonzero(above[:-1] & ~above[1:]) + long_window].tolist()
 
 
 def cusum(series: TimeSeries, reference_k: float = 0.5, decision_h: float = 5.0) -> list:
@@ -72,22 +65,20 @@ def cusum(series: TimeSeries, reference_k: float = 0.5, decision_h: float = 5.0)
     n = len(series)
     if n < 10:
         raise InsufficientDataError(f"series has {n} observations, need at least 10")
-    burn_in = min(BURN_IN, n)
     values = series.metric_values()
-    if np.all(values[:burn_in] == values[0]):
-        if np.all(values == values[0]):
-            return []  # nothing ever deviates; no change points by definition
-        raise DegenerateInputError(
-            "burn-in window has zero variance; cannot standardize"
-        )
-    mu = float(values[:burn_in].mean())
-    sd = float(values[:burn_in].std())
-    z = (values - mu) / sd
+    if np.all(values == values[0]):
+        return []  # nothing ever deviates; no change points by definition
+    burn = values[:BURN_IN]
+    with np.errstate(all="ignore"):
+        z = (values - burn.mean()) / burn.std()
+    # equal values can have a mean that rounds, and so a tiny nonzero std
+    if np.all(burn == burn[0]) or not np.isfinite(z).all():
+        raise DegenerateInputError("burn-in variance is zero or underflows; cannot standardize")
     flags = []
     s_hi = s_lo = 0.0
-    for i in range(n):
-        s_hi = max(0.0, s_hi + z[i] - reference_k)
-        s_lo = max(0.0, s_lo - z[i] - reference_k)
+    for i, zi in enumerate(z.tolist()):
+        s_hi = max(0.0, s_hi + zi - reference_k)
+        s_lo = max(0.0, s_lo - zi - reference_k)
         if s_hi > decision_h or s_lo > decision_h:
             flags.append(i)
             s_hi = s_lo = 0.0

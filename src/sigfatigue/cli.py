@@ -28,6 +28,7 @@ from .errors import (
     ConfigurationError,
     InsufficientDataError,
     InvalidInputError,
+    PatternSpecError,
     SigFatigueError,
 )
 from .evaluation import (
@@ -248,7 +249,7 @@ def _corpus(args) -> list:
     A directory is read as it is, so a spec flag given with it exits 2;
     ``--seed`` still seeds the bootstrap.
     """
-    if args.corpus is None:
+    if getattr(args, "corpus", None) is None:
         kinds = list(PATTERN_KINDS) if args.all else [args.pattern]
         return generate_batch(
             kinds, _series_per_pattern(args), args.seed, overrides=_pattern_overrides(args)
@@ -272,7 +273,11 @@ def _load_corpus(directory: str) -> list:
                 **{**data["spec"], "start_date": iso_date(data["spec"]["start_date"])}
             )
             truth = GroundTruth(change_days=data["ground_truth"]["change_days"])
-        except (ValueError, KeyError, TypeError) as exc:
+            # a spec or truth that generate could not have written
+            violations = replace(spec, change_days=truth.change_days).validate()
+            if violations:
+                raise PatternSpecError(violations)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidInputError(
                 f"malformed manifest {mpath}: {type(exc).__name__}: {exc}"
             ) from None
@@ -287,26 +292,20 @@ def _load_corpus(directory: str) -> list:
 def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    overrides = _pattern_overrides(args)
-    kinds = list(PATTERN_KINDS) if args.all else [args.pattern]
-    written = 0
     n = _series_per_pattern(args)
     if n == 1 and not args.all:
         # single fully specified series: honor the seed directly
-        spec = PatternSpec(kind=args.pattern, seed=args.seed, **overrides)
+        spec = PatternSpec(kind=args.pattern, seed=args.seed, **_pattern_overrides(args))
         series, truth = generate(spec)
         items = [GeneratedSeries(spec=spec, series=series, truth=truth)]
     else:
-        items = generate_batch(kinds, n, args.seed, overrides=overrides)
-    counters = {}
-    for item in items:
-        idx = counters.get(item.spec.kind, 0)
-        counters[item.spec.kind] = idx + 1
-        stem = f"{item.spec.kind}_{idx:04d}"
+        items = _corpus(args)
+    # generate_batch returns n series per kind, kind by kind
+    for i, item in enumerate(items):
+        stem = f"{item.spec.kind}_{i % n:04d}"
         write_series_csv(item.series, out_dir / f"{stem}.csv")
         _dump_json(_manifest(item), str(out_dir / f"{stem}.manifest.json"))
-        written += 1
-    print(f"wrote {written} series to {out_dir}")
+    print(f"wrote {len(items)} series to {out_dir}")
     return 0
 
 

@@ -136,7 +136,11 @@ class PatternSpec:
             v.append(f"base_kind {self.base_kind!r} must be a non-gapped pattern kind")
         if self.min_observations < 4:
             v.append(f"min_observations {self.min_observations} must be >= 4")
-        if self.change_days is not None:
+        elif self.kind == "non_continuous" and self.min_observations > self.duration_days:
+            v.append(f"min_observations {self.min_observations} exceeds {self.duration_days} days")
+        # the change-day count and range follow from the other fields, so
+        # they are checked only once those hold
+        if self.change_days is not None and not v:
             expected = len(default_change_days(replace(self, change_days=None)))
             days = self.change_days
             if self.kind != "multi_stage_decline" and len(days) != expected:
@@ -281,11 +285,10 @@ def generate(spec: PatternSpec) -> tuple:
 
     keep = np.ones(T, dtype=bool)
     if spec.kind == "non_continuous":
-        min_obs = max(spec.min_observations, 2)
         keep = rng.random(T) >= spec.gap_fraction
-        if keep.sum() < min_obs:
-            removed = np.flatnonzero(~keep)
-            refill = rng.choice(removed, size=min_obs - int(keep.sum()), replace=False)
+        shortfall = spec.min_observations - int(keep.sum())
+        if shortfall > 0:
+            refill = rng.choice(np.flatnonzero(~keep), size=shortfall, replace=False)
             keep[refill] = True
 
     kept = np.flatnonzero(keep)
@@ -322,9 +325,6 @@ def generate_batch(
     if n_per_pattern < 1:
         raise PatternSpecError(["n_per_pattern must be >= 1"])
     kinds = [kinds] if isinstance(kinds, str) else list(kinds)
-    for kind in kinds:
-        if kind not in PATTERN_KINDS:
-            raise PatternSpecError([f"unknown pattern kind {kind!r}"])
     overrides = dict(overrides or {})
     rng = np.random.default_rng(master_seed)
     corpus = []

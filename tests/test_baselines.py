@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import math
 import warnings
 
 import numpy as np
@@ -52,6 +53,15 @@ class TestCusum:
 
     def test_burn_in_zero_variance_with_later_change_rejected(self):
         series = series_from_ctr([0.02] * 30 + [0.01] * 30)
+        with pytest.raises(DegenerateInputError):
+            cusum(series)
+
+    def test_burn_in_spread_that_underflows_rejected(self):
+        # the burn-in differs by one subnormal, so its population std
+        # underflows to 0 and no later value standardizes to a finite z
+        cost = np.array([0.0] * 13 + [5e-324] + [1e150] * 46)
+        series = TimeSeries(dates=daily_dates(60), impressions=np.full(60, 100),
+                            clicks=np.full(60, 5), cost=cost, metric="cost")
         with pytest.raises(DegenerateInputError):
             cusum(series)
 
@@ -131,21 +141,25 @@ def loop_rolling_regression(series, window, alpha=0.05):
 PLAIN_KINDS = [k for k in PATTERN_KINDS if k != "non_continuous"]
 
 
+def oracle_corpus(gapped, seed):
+    """Two series per plain kind, or per base kind of a gapped series."""
+    if not gapped:
+        return generate_batch(PLAIN_KINDS, 2, master_seed=seed)
+    return [
+        g
+        for base in PLAIN_KINDS
+        for g in generate_batch(
+            "non_continuous", 2, master_seed=seed,
+            overrides={"base_kind": base, "gap_fraction": 0.2},
+        )
+    ]
+
+
 class TestRollingRegressionAgainstLoop:
     @pytest.mark.parametrize("window", [3, 7, 14])
     @pytest.mark.parametrize("gapped", [False, True], ids=["plain", "gapped"])
     def test_dates_match_per_window_loop(self, gapped, window):
-        if gapped:
-            corpus = [
-                g
-                for base in PLAIN_KINDS
-                for g in generate_batch(
-                    "non_continuous", 2, master_seed=window,
-                    overrides={"base_kind": base, "gap_fraction": 0.2},
-                )
-            ]
-        else:
-            corpus = generate_batch(PLAIN_KINDS, 2, master_seed=window)
+        corpus = oracle_corpus(gapped, window)
         flagged = 0
         for g in corpus:
             for alpha in (0.05, 0.2):
@@ -159,6 +173,55 @@ class TestRollingRegressionAgainstLoop:
         series = series_from_ctr([0.03 - 0.001 * t for t in range(n)])
         assert rolling_regression(series, 7) == loop_rolling_regression(series, 7)
         assert (rolling_regression(series, 7) == []) == (n < 7)
+
+
+def loop_ma_crossover(series, short_window=7, long_window=28):
+    """ma_crossover as a loop, two trailing fsum means per index: the oracle."""
+    values = series.metric_values()
+    flags = []
+    above = None
+    for i in range(long_window - 1, len(series)):
+        short = math.fsum(values[i + 1 - short_window : i + 1]) / short_window
+        long = math.fsum(values[i + 1 - long_window : i + 1]) / long_window
+        if above and short < long:
+            flags.append(i)
+        above = short >= long
+    return series.dates[flags].tolist()
+
+
+MA_WINDOWS = [(7, 28), (3, 10), (1, 2), (5, 60)]
+
+
+def cost_series(values):
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    return TimeSeries(dates=daily_dates(n), impressions=np.full(n, 100),
+                      clicks=np.full(n, 5), cost=values, metric="cost")
+
+
+class TestMaCrossoverAgainstLoop:
+    @pytest.mark.parametrize("gapped", [False, True], ids=["plain", "gapped"])
+    def test_dates_match_per_index_loop(self, gapped):
+        flagged = 0
+        for g in oracle_corpus(gapped, 17):
+            for short, long in MA_WINDOWS:
+                if len(g.series) > long:
+                    dates = ma_crossover(g.series, short, long)
+                    assert dates == loop_ma_crossover(g.series, short, long)
+                    flagged += len(dates)
+        assert flagged > 0
+
+    # running sums of 0.1 or 0.07 round, so only exact window sums keep the
+    # means of a flat stretch equal from one day to the next
+    @pytest.mark.parametrize("level", [0.1, 0.07])
+    def test_flat_stretches_match_per_index_loop(self, level):
+        rng = np.random.default_rng(3)
+        blocks = [[level * rng.integers(1, 4)] * int(rng.integers(3, 30)) for _ in range(20)]
+        stepped = cost_series([v for block in blocks for v in block])
+        flat = cost_series([level] * 120)
+        for short, long in MA_WINDOWS:
+            assert ma_crossover(stepped, short, long) == loop_ma_crossover(stepped, short, long)
+            assert ma_crossover(flat, short, long) == loop_ma_crossover(flat, short, long) == []
 
 
 def test_every_method_runs_at_the_cost_metric_bound():

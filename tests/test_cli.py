@@ -500,6 +500,11 @@ BAD_INVOCATIONS = [
     ["detect", "{huge}", "--metric", "cost"],
     ["detect", "{huge}", "--metric", "cost", "--method", "cusum"],
     ["wastage", "{huge}", "--metric", "cost"],
+    ["detect", "{subnormal}", "--metric", "cost", "--method", "cusum"],
+    ["evaluate", "--corpus", "{farday}"],
+    ["sweep", "--corpus", "{farday}"],
+    ["evaluate", "--corpus", "{infday}"],
+    ["sweep", "--corpus", "{infday}"],
 ]
 
 
@@ -513,16 +518,25 @@ def bad_inputs(tmp_path):
     huge.write_text("date,impressions,clicks,cost\n" + "".join(
         f"{dt.date(2024, 1, 1) + dt.timedelta(days=i)},100,5,1e300\n" for i in range(60)
     ))
+    # a cusum burn-in whose spread underflows: 0 x 13, then one subnormal
+    subnormal = tmp_path / "subnormal.csv"
+    subnormal.write_text("date,impressions,clicks,cost\n" + "".join(
+        f"{dt.date(2024, 1, 1) + dt.timedelta(days=i)},100,5,{cost!r}\n"
+        for i, cost in enumerate([0.0] * 13 + [5e-324] + [1e150] * 46)
+    ))
     paths = {"csv": csv_path, "file": manifest_path, "missing": tmp_path / "missing",
              "latin1": latin1, "empty": tmp_path / "empty", "csvless": tmp_path / "csvless",
-             "huge": huge}
+             "huge": huge, "subnormal": subnormal}
     paths["empty"].mkdir()
     paths["csvless"].mkdir()
     (paths["csvless"] / "s.manifest.json").write_bytes(manifest_path.read_bytes())
     manifest = json.loads(manifest_path.read_text())
+    # a change day past the last date generate could have written
+    farday = json.dumps({**manifest, "ground_truth": {"change_days": [3_000_000]}})
     del manifest["spec"]
     for name, text in [("truncated", manifest_path.read_text()[:40]),
-                       ("specless", json.dumps(manifest))]:
+                       ("specless", json.dumps(manifest)),
+                       ("farday", farday), ("infday", farday.replace("3000000", "1e400"))]:
         paths[name] = tmp_path / name
         paths[name].mkdir()
         (paths[name] / "s.csv").write_bytes(csv_path.read_bytes())

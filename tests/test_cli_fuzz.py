@@ -5,16 +5,19 @@ Every option of every subcommand is drawn, with a value of the type the
 parser declares or a junk value.  So that most command lines get past
 the checks into the analysis, the flags the drawn ``--method`` does not
 read, and the spec flags with ``--corpus``, are usually left out (the
-flag tables say which).  The flags that scale the work (``--n``,
-``--duration``, ``--bootstrap``, ``--depth``, ``--depths``) are bounded
-so that the test stays fast.
+flag tables say which).  A ``--corpus`` is the generated one, or a copy
+whose manifests hold one or two junk JSON values each.  The flags that
+scale the work (``--n``, ``--duration``, ``--bootstrap``, ``--depth``,
+``--depths``) are bounded so that the test stays fast.
 """
 
 import argparse
 import contextlib
+import copy
 import datetime as dt
 import io
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +74,12 @@ PATH_FLAGS = ("out", "plot", "daily_csv", "csv")
 CELL_JUNK = st.sampled_from(
     ["", "abc", "nan", "inf", "-1", "1e300", "1e309", "x,y", "2024-13-01", "9" * 30, '"']
 )
+# JSON text; json.loads reads NaN and Infinity, and 1e400 as infinity
+JSON_JUNK = st.one_of(
+    INTS.map(str),
+    st.floats().map(json.dumps),
+    st.sampled_from(["1e400", "null", "true", '""', '"abc"', '"2024-13-01"', "[]", "{}"]),
+)
 
 
 def _subparsers():
@@ -103,6 +112,25 @@ def csv_bytes(draw):
     return data
 
 
+@st.composite
+def manifest_bytes(draw, manifest):
+    """``manifest`` as JSON, with one or two junk values, each in a spec
+    field or in a change day."""
+    manifest = copy.deepcopy(manifest)
+    junk = {}
+    for slot in ("junk0", "junk1")[: draw(st.integers(1, 2))]:
+        if draw(st.booleans()):
+            manifest["spec"][draw(st.sampled_from(sorted(manifest["spec"])))] = slot
+        else:
+            days = manifest["ground_truth"]["change_days"]
+            days[draw(st.integers(0, len(days) - 1))] = slot
+        junk[f'"{slot}"'] = draw(JSON_JUNK)
+    text = json.dumps(manifest)
+    for slot, value in junk.items():
+        text = text.replace(slot, value)
+    return text.encode()
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -113,11 +141,17 @@ def paths(tmp_path_factory):
     ]) == 0
     series = read_series_csv(corpus / "sharp_drop_0000.csv")
     write_series_csv(replace(series, cost=0.5 * series.clicks), root / "costed.csv")
+    shutil.copytree(corpus, root / "fuzzed_corpus")
     return {
         "root": root,
         "csv": str(corpus / "sharp_drop_0000.csv"),
         "costed": str(root / "costed.csv"),
         "corpus": str(corpus),
+        "fuzzed_corpus": str(root / "fuzzed_corpus"),
+        "manifests": {
+            f"fuzzed_corpus/{path.name}": json.loads(path.read_text())
+            for path in corpus.glob("*.manifest.json")
+        },
         "missing": str(root / "missing" / "x"),
         "dir": str(tmp_path_factory.mktemp("dir")),
     }
@@ -138,19 +172,23 @@ def _value(action, paths):
 
 @st.composite
 def command_lines(draw, command, paths):
-    """(argv, CSV bytes or None) for ``command``; required options are given."""
+    """(argv, {file name under the fuzz root: bytes to write first}) for
+    ``command``; required options are given."""
     parser = _subparsers()[command]
-    argv, data = [command], None
+    argv, files = [command], {}
     if command in ("detect", "wastage"):
         source = draw(st.sampled_from(["csv", "costed", "fuzzed", "missing"]))
         if source == "fuzzed":
-            data = draw(csv_bytes())
+            files["fuzzed.csv"] = draw(csv_bytes())
             argv.append(str(paths["root"] / "fuzzed.csv"))
         else:
             argv.append(paths[source])
     else:
-        sources = [["--pattern", "sharp_drop"], ["--all"], ["--corpus", paths["corpus"]]]
+        sources = [["--pattern", "sharp_drop"], ["--all"],
+                   ["--corpus", paths["corpus"]], ["--corpus", paths["fuzzed_corpus"]]]
         argv += draw(st.sampled_from(sources[:2] if command == "generate" else sources))
+        if paths["fuzzed_corpus"] in argv:
+            files = {name: draw(manifest_bytes(m)) for name, m in paths["manifests"].items()}
     skip = {"help", "pattern", "all", "corpus", "method"}
     if command in ("detect", "evaluate"):
         method = draw(st.sampled_from(sorted(METHODS)))
@@ -175,7 +213,7 @@ def command_lines(draw, command, paths):
         argv += ["--out", str(paths["root"] / "gen")]
     if command != "generate" and "--all" in given and "--n" not in given:
         argv += ["--n", "1", "--duration", "30"]
-    return argv, data
+    return argv, files
 
 
 def _reject_constant(name):
@@ -186,9 +224,9 @@ def _reject_constant(name):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_exit_contract_under_fuzzing(paths, command, data):
-    argv, csv = data.draw(command_lines(command, paths), label="argv")
-    if csv is not None:
-        (paths["root"] / "fuzzed.csv").write_bytes(csv)
+    argv, files = data.draw(command_lines(command, paths), label="argv")
+    for name, content in files.items():
+        (paths["root"] / name).write_bytes(content)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:

@@ -57,6 +57,10 @@ class TestSegmentSignature:
         with pytest.raises(InvalidInputError):
             sc.segment_signature((1.0, 0.0), 0)
 
+    def test_rejects_delta_that_is_not_a_vector(self):
+        with pytest.raises(InvalidInputError, match="1-D"):
+            sc.segment_signature([[1.0, 0.0]], 2)
+
 
 class TestChenConcat:
     def test_identity_element(self):
@@ -107,6 +111,10 @@ class TestPathSignature:
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
             sc.path_signature([(0.0, 0.0)], 2)
+
+    def test_rejects_path_that_is_not_2d(self):
+        with pytest.raises(InvalidInputError, match="path must be"):
+            sc.path_signature([0.0, 1.0, 2.0], 2)
 
     def test_rejects_non_finite_vertices(self):
         with pytest.raises(InvalidInputError):
@@ -370,6 +378,16 @@ def test_tensorseq_validation():
         sc.TensorSeq(dim=2, depth=1, level0=1.0, levels=(np.zeros(3),))
     with pytest.raises(InvalidInputError):
         sc.TensorSeq(dim=2, depth=1, level0=1.0, levels=(np.array([np.nan, 0.0]),))
+    for dim, depth in [(0, 1), (2, 0)]:
+        with pytest.raises(InvalidInputError, match="dim and depth"):
+            sc.TensorSeq(dim=dim, depth=depth, level0=1.0, levels=())
+    with pytest.raises(InvalidInputError, match="level0"):
+        sc.TensorSeq(dim=2, depth=1, level0=math.inf, levels=(np.zeros(2),))
+
+
+def test_tensorseq_repr_names_its_shape():
+    sig = sc.segment_signature((1.0, 0.5), 2)
+    assert repr(sig) == "TensorSeq(dim=2, depth=2, level0=1.0)"
 
 
 def test_tensorseq_levels_are_immutable():

@@ -74,11 +74,19 @@ class TestValidation:
             ("change day", {"change_days": (30, 60)}),
             ("change_days", {"duration_days": 60, "change_days": (80,)}),
             ("change_days", {"kind": "fatigue_recovery", "change_days": (50, 40)}),
+            ("min_observations",
+             {"kind": "non_continuous", "duration_days": 30, "min_observations": 40}),
         ],
     )
     def test_each_rule_gives_one_violation_naming_its_field(self, name, fields):
         (violation,) = PatternSpec(**{"kind": "sharp_drop", **fields}).validate()
         assert name in violation
+
+    def test_change_days_checked_once_the_other_fields_hold(self):
+        # a multi-stage decline takes n_stages change days, so they are not
+        # counted while n_stages is not a whole number in range
+        spec = PatternSpec(kind="multi_stage_decline", n_stages=2.5, change_days=(10, 20))
+        assert spec.validate() == ["n_stages 2.5 must be an integer"]
 
     @pytest.mark.parametrize("name, value", [("duration_days", 100.0), ("n_stages", 2.0)])
     def test_whole_number_fields_reject_floats(self, name, value):
@@ -169,6 +177,11 @@ class TestCleanForms:
         ratios = series.metric_values() / curve
         assert np.std(ratios) > 0.2  # far above the requested 0.15
         assert truth.change_days == (20,)
+
+    def test_gapped_base_kind_has_no_curve(self):
+        spec = PatternSpec(kind="non_continuous", base_kind="non_continuous")
+        with pytest.raises(PatternSpecError, match="unknown pattern kind"):
+            clean_ctr_curve(spec)
 
     def test_truth_days_match_clean_discontinuities(self):
         for kind in ("sharp_drop", "multi_stage_decline"):
@@ -272,6 +285,10 @@ class TestBatch:
     def test_rejects_zero_count(self):
         with pytest.raises(PatternSpecError):
             generate_batch("sharp_drop", 0, master_seed=1)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(PatternSpecError, match="mystery"):
+            generate_batch(["sharp_drop", "mystery"], 1, master_seed=1)
 
     def test_truth_dates_align_with_start(self):
         item = generate_batch("sharp_drop", 1, master_seed=2)[0]

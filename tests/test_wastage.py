@@ -127,6 +127,12 @@ class TestComputeWastage:
         report = compute_wastage(series, self.segments())
         assert report.cpc_benchmark == pytest.approx(1.25, rel=1e-12)
 
+    def test_segments_of_another_series_rejected(self):
+        series = self.build()
+        later = replace(series, dates=series.dates + np.timedelta64(365, "D"))
+        with pytest.raises(InvalidInputError, match="no observations"):
+            compute_wastage(later, self.segments(), cpc=1.0)
+
     def test_cpc_overrides_cost_column(self):
         series = self.build(cost_per_click=1.1)
         report = compute_wastage(series, self.segments(), cpc=5.0)
