@@ -19,12 +19,13 @@ trend label from an ordinary least squares slope test.
 from __future__ import annotations
 
 import datetime as dt
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .sigcore import batch_signature
+from .sigcore import _block_paths, batch_signature
 from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict, pair_paths
 
 __all__ = [
@@ -68,6 +69,9 @@ class DetectorConfig:
     feature_mode: str = "full"
 
     def __post_init__(self):
+        for name in ("window", "depth"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.window < 2:
             raise InvalidInputError(f"window must be >= 2, got {self.window}")
         if not 1 <= self.depth <= MAX_DEPTH:
@@ -141,21 +145,54 @@ def distance_series(series: TimeSeries, cfg: DetectorConfig) -> np.ndarray:
     (``datetime64[D]``, the first date of the right window) and
     ``distance`` (float).
     """
-    dates, left, right = pair_paths(series, cfg.window)
-    n_pairs, window, _ = left.shape
+    return _pooled_distances([series], cfg)[0]
+
+
+def _pooled_distances(series_list, cfg: DetectorConfig) -> list:
+    """``distance_series(s, cfg)`` for each series s of ``series_list``.
+
+    Runs of whole series whose loops fit one kernel block, or a single
+    series that does not, share one ``batch_signature`` call.  Kernel
+    rows do not depend on the split, so each array equals the one-series
+    call bit for bit.
+    """
+    block = _block_paths(cfg.window + 2, 2, cfg.depth)
+    pools, size = [], 0
+    for series in series_list:
+        loops = 2 * (len(series) - 2 * cfg.window + 1)
+        if not pools or size + loops > block:
+            pools.append([])
+            size = 0
+        pools[-1].append(series)
+        size += loops
+    return [points for pool in pools for points in _pool_distances(pool, cfg)]
+
+
+def _pool_distances(pool: list, cfg: DetectorConfig) -> list:
+    """The distance arrays of ``pool`` from one ``batch_signature`` call."""
+    pairs = [pair_paths(series, cfg.window) for series in pool]
+    ends = np.cumsum([len(dates) for dates, _, _ in pairs]).tolist()
+    spans = [(end - len(dates), end) for (dates, _, _), end in zip(pairs, ends)]
+    n_pairs = ends[-1]
     # close each window path into a loop (0, 0) -> path -> (1, 0) so that
-    # window level survives the signature's translation invariance
-    loops = np.zeros((2 * n_pairs, window + 2, 2))
-    loops[:n_pairs, 1:-1] = left
-    loops[n_pairs:, 1:-1] = right
+    # window level survives the signature's translation invariance; all
+    # left loops come first, then all right ones
+    loops = np.zeros((2 * n_pairs, cfg.window + 2, 2))
+    for (_, left, right), (start, end) in zip(pairs, spans):
+        loops[start:end, 1:-1] = left
+        loops[n_pairs + start : n_pairs + end, 1:-1] = right
     loops[:, -1, 0] = 1.0
-    del left, right  # the loops hold a copy; keep peak memory to one of them
+    boundary_dates = [dates for dates, _, _ in pairs]
+    del pairs  # the loops hold a copy; keep peak memory to one of them
     features = batch_signature(loops, cfg.depth, log=cfg.feature_mode == "log")
-    diff = features[:n_pairs] - features[n_pairs:]
-    out = np.empty(n_pairs, dtype=DISTANCE_DTYPE)
-    out["date"] = dates
-    # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
-    out["distance"] = np.sqrt(np.vecdot(diff, diff))
+    out = []
+    for dates, (start, end) in zip(boundary_dates, spans):
+        diff = features[start:end] - features[n_pairs + start : n_pairs + end]
+        points = np.empty(len(dates), dtype=DISTANCE_DTYPE)
+        points["date"] = dates
+        # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
+        points["distance"] = np.sqrt(np.vecdot(diff, diff))
+        out.append(points)
     return out
 
 

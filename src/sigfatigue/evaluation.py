@@ -16,8 +16,8 @@ feature.
 
 ``sensitivity_report`` sweeps the signature method over a parameter
 grid: it computes each series' distances once per (window, depth,
-feature_mode) and thresholds them for every threshold_k and merge_gap
-of the grid.
+feature_mode), pooling the series into few kernel calls, and thresholds
+them for every threshold_k and merge_gap of the grid.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines
-from .detector import DetectorConfig, distance_series, flag_change_points
+from .detector import DetectorConfig, _pooled_distances, distance_series, flag_change_points
 from .errors import InvalidInputError
 from .windowing import _record_dict
 
@@ -289,8 +289,9 @@ def sensitivity_report(
 
     ``distance_series`` reads only window, depth and feature_mode, so
     the cells that differ in nothing else share one distance series per
-    corpus series.  Each group's distances are dropped before the next
-    group's are computed.
+    corpus series.  A group's distance series come from pooled kernel
+    calls, each over as many whole series as fit one kernel block, and
+    are dropped before the next group's are computed.
     """
     grid = DEFAULT_GRID if grid is None else grid
     if not grid or not all(len(v) for v in grid.values()):
@@ -306,10 +307,9 @@ def sensitivity_report(
     for i, cfg in enumerate(configs):
         groups.setdefault((cfg.window, cfg.depth, cfg.feature_mode), []).append(i)
     rows = [None] * len(cells)
+    series = [item.series for item in corpus]
     for indices in groups.values():
-        distances = {
-            id(item.series): distance_series(item.series, configs[indices[0]]) for item in corpus
-        }
+        distances = dict(zip(map(id, series), _pooled_distances(series, configs[indices[0]])))
         for i in indices:
             cfg = configs[i]
             _, pooled = evaluate_corpus(

@@ -21,9 +21,10 @@ d^k whose entries are ordered lexicographically by multi-index
 corresponding k-tensor, so flattened tensor products are plain outer
 products.  All values are immutable; every function is pure.
 
-``batch_signature`` is the hot path: one vectorised Chen fold (and
-truncated log) over a batch of paths, in blocks of ``BLOCK_BYTES``; its
-rows do not depend on the split.  ``path_signature`` and
+``batch_signature`` is the hot path: a Chen fold (and truncated log)
+that walks the segments in order, each step vectorised over a whole
+block of paths, with blocks sized by ``BLOCK_BYTES``; its rows do not
+depend on the split.  ``path_signature`` and
 ``log_signature`` run it on a batch of one; ``TensorSeq``,
 ``segment_signature``, ``chen_concat`` and ``tensor_exp`` are the
 readable specification it is tested against.
@@ -32,6 +33,7 @@ readable specification it is tested against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +54,21 @@ __all__ = [
     "sig_distance",
 ]
 
-# Bytes of top-level increments (d**depth * (n-1) floats a path) in one
-# kernel block.  Peak memory is a few times this whatever the batch size,
-# depth or path length, and blocks this small stay in cache.
-BLOCK_BYTES = 128 * 1024
+# Bytes of one kernel block, budgeted as d**depth + d*(n-1) floats a path:
+# its running top level and its increments.  Peak memory is a fixed
+# multiple of this for each dimension and depth, whatever the batch size
+# or path length.  A block this large holds the 2,346 loops of a
+# 1,200-observation series at the default window and depth, so the
+# per-segment steps run over long rows.
+BLOCK_BYTES = 1024 * 1024
 
-# glibc's malloc returns a free heap top to the system once it exceeds twice
-# the largest mmap'd block freed so far (128 KiB until one is).  A kernel call
-# peaks near 6 * BLOCK_BYTES, so each call would fault its temporaries in
-# afresh.  Freeing one 8 * BLOCK_BYTES block here raises that mark above it.
+# glibc's malloc serves requests below its mmap threshold from the heap, and
+# returns a free heap top to the system once it exceeds twice that
+# threshold; freeing an mmap'd block raises the threshold to its size.  A
+# call on one block of planar paths peaks at 2.4 * BLOCK_BYTES (depth 3) to
+# 11 * BLOCK_BYTES (depth-8 log signatures), so under the default 128 KiB
+# threshold each call would fault its temporaries in afresh.  Freeing one
+# 8 * BLOCK_BYTES block here keeps them on the heap.
 np.empty(8 * BLOCK_BYTES, dtype=np.uint8)
 
 
@@ -139,13 +147,17 @@ def _product(a: TensorSeq, b: TensorSeq) -> TensorSeq:
     return TensorSeq(dim=a.dim, depth=a.depth, level0=a.level0 * b.level0, levels=tuple(out))
 
 
+def _check_depth(depth) -> None:
+    if not isinstance(depth, numbers.Integral) or depth < 1:
+        raise InvalidInputError(f"depth must be an integer >= 1, got {depth!r}")
+
+
 def segment_signature(delta, depth: int) -> TensorSeq:
     """Signature of one linear segment: the tensor exponential of its increment.
 
     Level k equals delta^{tensor k} / k!.
     """
-    if depth < 1:
-        raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    _check_depth(depth)
     vec = np.asarray(delta, dtype=float)
     if vec.ndim != 1 or vec.size < 1:
         raise InvalidInputError("delta must be a 1-D displacement vector")
@@ -167,10 +179,11 @@ def chen_concat(a: TensorSeq, b: TensorSeq) -> TensorSeq:
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flattened outer product over the leading axes of (p, ..., B) and (q, ..., B).
+    """Flattened outer product over the leading axes of (p, ..., B) and (q, ..., B),
+    as ``_log_levels`` forms it.
 
     Batched arrays keep the batch B as the last, contiguous axis, so the
-    products and cumulative sums run over long rows of paths.
+    products run over long rows of paths.
     """
     return (a[:, None] * b[None, :]).reshape(-1, *a.shape[1:])
 
@@ -179,35 +192,45 @@ def _signature_levels(paths: np.ndarray, depth: int) -> list:
     """Chen fold over a batch: level k of each path of ``paths`` (B, n, d)
     as a (d**k, B) array.
 
-    The fold is restructured as cumulative sums over segments: the
-    level-k increment contributed by segment s is
-    sum_{j=1..k} S^{k-j}(prefix) (x) delta_s^j / j!.  Each cumsum is
-    written after a zero column, so the prefixes are a view of it.  The
-    top level is no prefix, so it is only summed: with the batch axis last
-    and contiguous, numpy adds segment rows in ``cumsum``'s order, and the
-    -0.0 start keeps the sign of an all-zero sum.  A single path keeps
-    ``cumsum``: numpy would sum its lone axis pairwise, which rounds apart.
+    The segments are folded in order into running levels L_k, each
+    elementwise over the batch.  Segment s, with increment delta and
+    pow_j = delta^{tensor j} / j!, adds
+    incr_k = pow_k + sum_{j=1..k-1} L_{k-j} (x) pow_j,
+    summed in that j order.  Levels are updated from the top down, so
+    each incr_k reads the lower levels as they were before the segment.
     """
-    deltas = np.diff(np.ascontiguousarray(paths.transpose(2, 1, 0)), axis=1)  # (d, m, B)
-    _, m, batch = deltas.shape
-    # pows[j-1][:, s] = delta_s^{tensor j} / j!, flattened
-    pows = [deltas]
-    for j in range(2, depth + 1):
-        pows.append(_outer(pows[-1], deltas) / j)
-    levels = []
-    prefixes = []  # running level values before each segment
-    for k in range(1, depth + 1):
-        incr = pows[k - 1]
-        for j in range(1, k):
-            incr = incr + _outer(prefixes[k - j - 1], pows[j - 1])
-        if k == depth and batch > 1:
-            levels.append(incr.sum(axis=1, initial=-0.0))
-            break
-        buf = np.empty((incr.shape[0], m + 1, batch))
-        buf[:, 0] = 0.0
-        np.cumsum(incr, axis=1, out=buf[:, 1:])
-        levels.append(buf[:, -1])
-        prefixes.append(buf[:, :-1])
+    deltas = np.diff(np.ascontiguousarray(paths.transpose(1, 2, 0)), axis=0)  # (m, d, B)
+    _, dim, batch = deltas.shape
+    levels = [np.zeros((dim**k, batch)) for k in range(1, depth + 1)]
+    pows = [np.empty((dim**j, batch)) for j in range(1, depth + 1)]
+    prod = np.empty((dim**depth, batch))
+    incr = np.empty((dim**depth, batch))
+    # each operand and output view is made once, so a segment runs ufuncs only
+    pow_steps = [  # pow_j = (pow_{j-1} (x) delta) / j
+        (pows[j - 2][:, None], pows[j - 1].reshape(-1, dim, batch), pows[j - 1], j)
+        for j in range(2, depth + 1)
+    ]
+    level_steps = [  # incr_k = pow_k + sum_j L_{k-j} (x) pow_j, then L_k += incr_k
+        (levels[k - 1], pows[k - 1], incr[: dim**k], prod[: dim**k], [
+            (levels[k - j - 1][:, None], pows[j - 1], prod[: dim**k].reshape(-1, dim**j, batch))
+            for j in range(1, k)
+        ])
+        for k in range(depth, 0, -1)
+    ]
+    for s, delta in enumerate(deltas):
+        np.copyto(pows[0], delta)
+        for lower, out, power, j in pow_steps:
+            np.multiply(lower, pows[0], out=out)
+            power /= j
+        for level, inc, buf, term, products in level_steps:
+            for lower, power, out in products:
+                np.multiply(lower, power, out=out)
+                inc = np.add(inc, term, out=buf)
+            # the first increment is copied, not added to zero: 0.0 + -0.0 is 0.0
+            if s:
+                level += inc
+            else:
+                level[...] = inc
     return levels
 
 
@@ -232,6 +255,13 @@ def _log_levels(levels: list) -> list:
     return acc
 
 
+def _block_paths(n: int, dim: int, depth: int) -> int:
+    """Paths of n vertices in R^dim that one ``batch_signature`` block holds:
+    ``BLOCK_BYTES`` over 8 bytes times the d**depth + d*(n-1) floats a
+    path's top level and increments take, at least one."""
+    return max(1, BLOCK_BYTES // (8 * (dim**depth + dim * (n - 1))))
+
+
 def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     """Flattened truncated signatures of a batch of polylines.
 
@@ -239,19 +269,18 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     and d >= 1.
     Returns a (B, flat_length(d, depth)) array whose row b equals
     ``flatten(path_signature(paths[b], depth))``, or with ``log`` its
-    ``log_signature``, bit for bit.  Blocks hold ``BLOCK_BYTES // (8 *
-    d**depth * (n-1))`` paths, at least one, so peak memory is fixed
-    whatever B, depth and n are.  A block's top level is summed, and
-    cumsum'd for a block of one, so rows are the same however B splits.
+    ``log_signature``, bit for bit.  Blocks hold ``_block_paths(n, d,
+    depth)`` paths, so peak memory is fixed whatever B, depth and n are.
+    Every float operation is elementwise over the batch, so rows are the
+    same however B splits.
     """
-    if depth < 1:
-        raise InvalidInputError(f"depth must be >= 1, got {depth}")
+    _check_depth(depth)
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 3 or paths.shape[1] < 2 or paths.shape[2] < 1:
         raise InvalidInputError("paths must be a (B, n>=2, d>=1) array of vertices")
     _, n, dim = paths.shape
     out = np.empty((paths.shape[0], flat_length(dim, depth)))
-    block = max(1, BLOCK_BYTES // (8 * dim**depth * (n - 1)))
+    block = _block_paths(n, dim, depth)
     for start in range(0, paths.shape[0], block):
         rows = slice(start, start + block)
         if not np.all(np.isfinite(paths[rows])):

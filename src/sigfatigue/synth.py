@@ -37,6 +37,7 @@ reproduced exactly.  Generation is a pure function of the spec
 from __future__ import annotations
 
 import datetime as dt
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,6 +116,14 @@ class PatternSpec:
         v = []
         if self.kind not in PATTERN_KINDS:
             v.append(f"kind must be one of {PATTERN_KINDS}, got {self.kind!r}")
+            return v
+        # the range rules below compare these fields, so their types come first
+        for name in (*RANGES, "impressions_mean", "gap_fraction", "min_observations"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                v.append(f"{name} must be a real number, got {getattr(self, name)!r}")
+        if not isinstance(self.start_date, dt.date):
+            v.append(f"start_date must be a date, got {self.start_date!r}")
+        if v:
             return v
         for name, (lo, hi) in RANGES.items():
             value = getattr(self, name)

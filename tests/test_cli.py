@@ -574,5 +574,6 @@ def test_unbounded_cost_exits_2_before_any_distance(bad_inputs, capsys, monkeypa
 
     monkeypatch.setattr(detector, "distance_series", no_distances)
     monkeypatch.setattr(evaluation, "distance_series", no_distances)
+    monkeypatch.setattr(evaluation, "_pooled_distances", no_distances)
     assert main([arg.format(**bad_inputs) for arg in argv]) == 2
     assert name in capsys.readouterr().err

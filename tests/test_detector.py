@@ -60,6 +60,20 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             DetectorConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("depth", 2.5), ("depth", 3.0), ("window", 14.5), ("window", np.float64(14.0))],
+    )
+    def test_window_and_depth_must_be_integers(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            DetectorConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self, sharp_series):
+        cfg = DetectorConfig(window=np.int64(14), depth=np.int64(3))
+        assert np.array_equal(
+            distance_series(sharp_series, cfg), distance_series(sharp_series, DetectorConfig())
+        )
+
     @pytest.mark.parametrize("k", [float("inf"), float("nan")])
     def test_threshold_k_must_be_finite(self, k):
         with pytest.raises(InvalidInputError, match="threshold_k"):
@@ -217,6 +231,53 @@ class TestKernelAgainstOracle:
         for item, points in zip(corpus, skipped):
             assert distance_series(item.series, cfg).tobytes() == points.tobytes()
 
+
+
+class TestPooledDistances:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        """Series of mixed lengths, gapped, flat and plain, in one list."""
+        return [
+            walk_series(kind, n=n, seed=n)
+            for kind, n in [
+                ("plain", 40), ("gapped", 95), ("flat", 33), ("plain", 160),
+                ("gapped", 50), ("plain", 29), ("flat", 75),
+            ]
+        ]
+
+    @pytest.mark.parametrize("block_loops", [None, 100])
+    @pytest.mark.parametrize("feature_mode", ["full", "log"])
+    @pytest.mark.parametrize("window", [7, 14])
+    def test_pooled_equal_per_series(self, monkeypatch, mixed, window, feature_mode, block_loops):
+        cfg = DetectorConfig(window=window, feature_mode=feature_mode)
+        series = [s for s in mixed if len(s) >= 2 * window]
+        alone = [distance_series(s, cfg) for s in series]
+        if block_loops:
+            # pools split, and the longest series crosses a block boundary
+            per_loop = 8 * (2**cfg.depth + 2 * (window + 1))
+            monkeypatch.setattr(sc, "BLOCK_BYTES", per_loop * block_loops)
+        calls = []
+
+        def recording(paths, depth, log=False):
+            calls.append(len(paths))
+            return sc.batch_signature(paths, depth, log=log)
+
+        monkeypatch.setattr(detector, "batch_signature", recording)
+        pooled = detector._pooled_distances(series, cfg)
+        assert len(pooled) == len(alone)
+        for a, b in zip(pooled, alone):
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+        loops = [2 * len(a) for a in alone]
+        assert sum(calls) == sum(loops)
+        if block_loops:
+            assert len(calls) > 1 and max(loops) > sc._block_paths(window + 2, 2, cfg.depth)
+        else:
+            assert calls == [sum(loops)]
+
+    def test_first_short_series_raises_as_alone(self, mixed):
+        cfg = DetectorConfig(window=21)
+        with pytest.raises(InsufficientDataError, match="has 40 observations"):
+            detector._pooled_distances(mixed, cfg)
 
 def greedy_merge(dates, values, threshold, merge_gap):
     """Flags over ``threshold``, merged one flag object at a time."""

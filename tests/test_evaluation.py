@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfatigue import detector, evaluation
+from sigfatigue import detector, evaluation, sigcore as sc
 from sigfatigue.detector import DetectorConfig, detect
 from sigfatigue.errors import InvalidInputError
 from sigfatigue.evaluation import (
@@ -19,6 +19,7 @@ from sigfatigue.evaluation import (
     sensitivity_report,
 )
 from sigfatigue.synth import PATTERN_KINDS, generate_batch
+from sigfatigue.windowing import pair_paths
 
 
 D = dt.date
@@ -345,16 +346,25 @@ class TestDistanceReuse:
         return [dict(zip(names, vals)) for vals in itertools.product(*(grid[n] for n in names))]
 
     def test_default_sweep_computes_each_distance_series_once(self, monkeypatch, corpus):
-        calls = []
+        windows, kernel_rows = [], []
 
-        def counting(series, cfg):
-            calls.append((id(series), cfg.window, cfg.depth, cfg.feature_mode))
-            return detector.distance_series(series, cfg)
+        def pairing(series, window):
+            windows.append((id(series), window))
+            return pair_paths(series, window)
 
-        monkeypatch.setattr(evaluation, "distance_series", counting)
+        def kernel(paths, depth, log=False):
+            kernel_rows.append(len(paths))
+            return sc.batch_signature(paths, depth, log=log)
+
+        monkeypatch.setattr(detector, "pair_paths", pairing)
+        monkeypatch.setattr(detector, "batch_signature", kernel)
         assert len(corpus) == 7
         sensitivity_report(corpus, n_boot=10)
-        assert len(calls) == 21 and len(set(calls)) == 21
+        # each series' loops once per window, in one pooled kernel call per window
+        assert len(windows) == 21 and len(set(windows)) == 21
+        assert kernel_rows == [
+            sum(2 * (len(item.series) - 2 * w + 1) for item in corpus) for w in (7, 14, 21)
+        ]
 
     def test_sensitivity_rows_equal_per_cell_evaluation(self, corpus):
         rows = sensitivity_report(corpus, grid=self.GRID, n_boot=20, seed=5)
@@ -404,6 +414,7 @@ class TestSensitivity:
     def test_n_boot_checked_before_any_distance(self, monkeypatch, n_boot):
         corpus = generate_batch("sharp_drop", 2, master_seed=91, overrides={"duration_days": 120})
         monkeypatch.setattr(evaluation, "distance_series", None)
+        monkeypatch.setattr(evaluation, "_pooled_distances", None)
         with pytest.raises(InvalidInputError, match="n_boot"):
             sensitivity_report(corpus, n_boot=n_boot)
         with pytest.raises(InvalidInputError, match="n_boot"):

@@ -15,7 +15,7 @@ from sigfatigue import sigcore as sc
 from sigfatigue.errors import InsufficientDataError, InvalidInputError, ShapeError
 
 from conftest import assert_tensorseq_close
-from oracle_utils import riemann_signature_levels
+from oracle_utils import cumsum_signature_levels, riemann_signature_levels
 
 
 def random_path(rng, n=20, d=2):
@@ -191,9 +191,21 @@ def chen_fold(pts, depth):
     return sig
 
 
+def path_bytes(n, dim, depth):
+    """Kernel block bytes budgeted per path of n vertices in R^dim: its
+    top level and its increments."""
+    return 8 * (dim**depth + dim * (n - 1))
+
+
 def block_paths(n, dim, depth):
     """Paths per kernel block for paths of n vertices in R^dim."""
-    return max(1, sc.BLOCK_BYTES // (8 * dim**depth * (n - 1)))
+    return max(1, sc.BLOCK_BYTES // path_bytes(n, dim, depth))
+
+
+def cumsum_rows(paths, depth, log):
+    """Rows of the cumulative-sum fold over the whole batch as one block."""
+    levels = cumsum_signature_levels(np.asarray(paths, dtype=float), depth)
+    return np.concatenate(sc._log_levels(levels) if log else levels).T
 
 
 class TestBatchSignature:
@@ -215,7 +227,7 @@ class TestBatchSignature:
         block = block_paths(9, 2, 4)
         paths = np.random.default_rng(31).random((3 * block + 5, 9, 2))
         blocked = sc.batch_signature(paths, 4, log=log)
-        monkeypatch.setattr(sc, "BLOCK_BYTES", 8 * 2**4 * 8 * len(paths))
+        monkeypatch.setattr(sc, "BLOCK_BYTES", path_bytes(9, 2, 4) * len(paths))
         unblocked = sc.batch_signature(paths, 4, log=log)
         assert blocked.tobytes() == unblocked.tobytes()
 
@@ -235,9 +247,33 @@ class TestBatchSignature:
         for b in sorted({0, block - 1, block, 2 * block - 1, 2 * block}):
             alone = sc.batch_signature(paths[b : b + 1], depth, log=log)
             assert rows[b].tobytes() == alone[0].tobytes(), b
-        monkeypatch.setattr(sc, "BLOCK_BYTES", 8 * dim**depth * (n - 1) * len(paths))
+        monkeypatch.setattr(sc, "BLOCK_BYTES", path_bytes(n, dim, depth) * len(paths))
         whole = sc.batch_signature(paths, depth, log=log)
         assert rows.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_equal_the_cumsum_fold(self, dim, depth, log):
+        rng = np.random.default_rng(1000 * dim + 10 * depth + log)
+        n = int(rng.integers(2, 12))
+        for batch in (1, block_paths(n, dim, depth) + 1):
+            paths = rng.normal(size=(batch, n, dim))
+            # zeros of both signs, whole flat paths among them
+            paths[rng.random(paths.shape) < 0.2] = 0.0
+            paths[rng.random(paths.shape) < 0.2] = -0.0
+            paths[: batch // 2, :, 0] = -0.0
+            rows = sc.batch_signature(paths, depth, log=log)
+            assert rows.tobytes() == cumsum_rows(paths, depth, log).tobytes()
+
+    @pytest.mark.parametrize("log", [False, True])
+    def test_long_history_batch_equals_the_cumsum_fold(self, log):
+        # the loops of one 1,200-observation series at the default window
+        paths = np.random.default_rng(2346).random((2346, 16, 2))
+        paths[:, 0] = paths[:, -1, 1] = 0.0
+        paths[:, -1, 0] = 1.0
+        rows = sc.batch_signature(paths, 3, log=log)
+        assert rows.tobytes() == cumsum_rows(paths, 3, log).tobytes()
 
     def test_peak_memory_is_bounded_by_the_block_budget(self):
         paths = np.random.default_rng(5).random((400, 62, 2))
@@ -269,6 +305,18 @@ class TestBatchSignature:
             capture_output=True, text=True, check=True,
         )
         assert float(out.stdout) < 10, out.stdout
+
+    @pytest.mark.parametrize("depth", [2.0, 2.5, np.float64(3.0), "3"])
+    def test_rejects_depth_that_is_not_an_integer(self, depth):
+        with pytest.raises(InvalidInputError, match="depth must be an integer"):
+            sc.batch_signature(np.zeros((2, 3, 2)), depth)
+        with pytest.raises(InvalidInputError, match="depth must be an integer"):
+            sc.segment_signature(np.ones(2), depth)
+
+    def test_numpy_integer_depth_accepted(self):
+        paths = np.random.default_rng(8).random((3, 5, 2))
+        rows = sc.batch_signature(paths, np.int64(3))
+        assert rows.tobytes() == sc.batch_signature(paths, 3).tobytes()
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):

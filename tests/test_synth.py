@@ -95,6 +95,26 @@ class TestValidation:
         with pytest.raises(PatternSpecError):
             generate(spec)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("baseline_ctr", "x"),
+            ("baseline_ctr", None),
+            ("duration_days", "120"),
+            ("n_stages", None),
+            ("impressions_mean", [50_000]),
+            ("gap_fraction", "0.3"),
+            ("min_observations", None),
+            ("start_date", "2024-01-01"),
+        ],
+    )
+    def test_wrong_typed_field_is_a_violation(self, name, value):
+        spec = PatternSpec(kind="sharp_drop", **{name: value})
+        (violation,) = spec.validate()
+        assert violation.startswith(f"{name} must be a ")
+        with pytest.raises(PatternSpecError, match=name):
+            generate(spec)
+
     def test_series_must_end_by_the_last_date(self):
         fits = PatternSpec(kind="sharp_drop", duration_days=60,
                            start_date=dt.date.max - dt.timedelta(days=59))
