@@ -315,7 +315,7 @@ def cmd_detect(args) -> int:
     params = _params(args, "report" if args.method == "signature" else args.method)
     series = read_series_csv(args.input, metric=args.metric)
     if args.method != "signature":
-        dates = make_method(args.method, **params)(series)
+        dates = make_method(args.method, **params)([series])[0]
         _dump_json(
             {
                 "schema_version": SCHEMA_VERSION,

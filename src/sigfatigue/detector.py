@@ -80,8 +80,9 @@ class DetectorConfig:
             raise InvalidInputError(f"threshold_k must be finite and > 0, got {self.threshold_k}")
         if not 0 < self.alpha < 1:
             raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.merge_gap is not None and self.merge_gap < 0:
-            raise InvalidInputError(f"merge_gap must be >= 0, got {self.merge_gap}")
+        gap = self.merge_gap
+        if gap is not None and not (isinstance(gap, numbers.Integral) and gap >= 0):
+            raise InvalidInputError(f"merge_gap must be an integer >= 0 or None, got {gap!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise InvalidInputError(
                 f"feature_mode must be one of {FEATURE_MODES}, got {self.feature_mode!r}"
@@ -228,11 +229,10 @@ def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
     threshold = mean + cfg.threshold_k * std
     dates = distances["date"]
     flagged = np.flatnonzero(values > threshold)
+    kept = _merge_flags(dates.view(np.int64).tolist(), values, flagged, cfg.effective_merge_gap)
     change_points = tuple(
         ChangePoint(date=dates[i].item(), distance=float(values[i]), threshold=threshold)
-        for i in _merge_flags(
-            dates.view(np.int64).tolist(), values, flagged, cfg.effective_merge_gap
-        )
+        for i in kept
     )
     return mean, std, threshold, change_points
 
@@ -333,9 +333,7 @@ def detect(series: TimeSeries, cfg: DetectorConfig | None = None) -> ChangePoint
     cfg = cfg or DetectorConfig()
     distances = distance_series(series, cfg)
     mean, std, threshold, change_points = flag_change_points(distances, cfg)
-    segments = tuple(
-        segment_series(series, [c.date for c in change_points], cfg.alpha)
-    )
+    segments = tuple(segment_series(series, [c.date for c in change_points], cfg.alpha))
     return ChangePointReport(
         config=cfg,
         metric=series.metric,

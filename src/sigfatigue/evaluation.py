@@ -9,27 +9,30 @@ negative values are early warnings.
 Corpus scores are pooled counts (micro averages); confidence intervals
 come from a seeded percentile bootstrap over series.  Benchmarking runs
 detectors through a small registry so the signature method and the
-reference baselines share one harness.  Following the published
-protocol, the signature method is scored on its raw exceedance flags
-(merging disabled); merged change points are an analyst-facing report
-feature.
+reference baselines share one harness.  A registered method makes a
+corpus callable, list of series -> one list of detected dates per
+series, so the signature method pools a corpus into few kernel calls.
+Following the published protocol, the signature method is scored on its
+raw exceedance flags (merging disabled); merged change points are an
+analyst-facing report feature.
 
 ``sensitivity_report`` sweeps the signature method over a parameter
 grid: it computes each series' distances once per (window, depth,
-feature_mode), pooling the series into few kernel calls, and thresholds
-them for every threshold_k and merge_gap of the grid.
+feature_mode), on the same pooled path, and thresholds them for every
+threshold_k and merge_gap of the grid.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baselines
-from .detector import DetectorConfig, _pooled_distances, distance_series, flag_change_points
+from .detector import DetectorConfig, _pooled_distances, flag_change_points
 from .errors import InvalidInputError
 from .windowing import _record_dict
 
@@ -65,9 +68,9 @@ class MatchPolicy:
     tolerance_days: int = 3
 
     def __post_init__(self):
-        if self.tolerance_days < 0:
+        if not isinstance(self.tolerance_days, numbers.Integral) or self.tolerance_days < 0:
             raise InvalidInputError(
-                f"tolerance_days must be >= 0, got {self.tolerance_days}"
+                f"tolerance_days must be an integer >= 0, got {self.tolerance_days!r}"
             )
 
 
@@ -219,12 +222,12 @@ def _flag_dates(distances, cfg: DetectorConfig) -> list:
 
 def _signature_method(**params):
     cfg = _signature_config(params)
-    return lambda series: _flag_dates(distance_series(series, cfg), cfg)
+    return lambda series_list: [_flag_dates(d, cfg) for d in _pooled_distances(series_list, cfg)]
 
 
 def _baseline_method(name: str, **params):
     # looked up on each call, so a wrapped baselines function is the one run
-    return lambda series: getattr(baselines, name)(series, **params)
+    return lambda series_list: [getattr(baselines, name)(s, **params) for s in series_list]
 
 
 METHODS = {
@@ -237,11 +240,10 @@ METHODS = {
 
 
 def make_method(name: str, **params):
-    """Detector callable (series -> list of dates) from the registry."""
+    """Corpus callable from the registry: it takes a list of series and
+    returns one list of detected dates per series, in order."""
     if name not in METHODS:
-        raise InvalidInputError(
-            f"unknown method {name!r}, expected one of {sorted(METHODS)}"
-        )
+        raise InvalidInputError(f"unknown method {name!r}, expected one of {sorted(METHODS)}")
     return METHODS[name](**params)
 
 
@@ -254,21 +256,22 @@ def evaluate_corpus(
 ) -> tuple:
     """Score a method over a corpus.
 
-    ``method`` is a registry name or a callable.  Returns
+    ``method`` is a registry name or a corpus callable as ``make_method``
+    returns, called once with every series of the corpus.  Returns
     (per-series scores, pooled EvalMetrics with bootstrap intervals).
     """
     _check_n_boot(n_boot)
+    corpus = list(corpus)
     run = make_method(method) if isinstance(method, str) else method
-    per_series = []
-    for item in corpus:
-        detected = run(item.series)
-        per_series.append(score(detected, item.truth_dates(), policy))
+    detections = list(run([item.series for item in corpus]))
+    if len(detections) != len(corpus):
+        raise InvalidInputError(
+            f"method returned {len(detections)} detection lists for {len(corpus)} series"
+        )
+    per_series = [score(d, item.truth_dates(), policy) for d, item in zip(detections, corpus)]
     pooled = pool_scores(per_series)
-    ci = (
-        bootstrap_ci(per_series, n_boot=n_boot, seed=seed)
-        if n_boot >= 1 and len(per_series) >= 2
-        else None
-    )
+    with_ci = n_boot >= 1 and len(per_series) >= 2
+    ci = bootstrap_ci(per_series, n_boot=n_boot, seed=seed) if with_ci else None
     return per_series, replace(pooled, ci=ci)
 
 
@@ -309,16 +312,11 @@ def sensitivity_report(
     rows = [None] * len(cells)
     series = [item.series for item in corpus]
     for indices in groups.values():
-        distances = dict(zip(map(id, series), _pooled_distances(series, configs[indices[0]])))
+        distances = _pooled_distances(series, configs[indices[0]])
         for i in indices:
             cfg = configs[i]
-            _, pooled = evaluate_corpus(
-                corpus,
-                lambda series: _flag_dates(distances[id(series)], cfg),
-                policy,
-                n_boot=n_boot,
-                seed=seed,
-            )
+            flags = [_flag_dates(d, cfg) for d in distances]
+            _, pooled = evaluate_corpus(corpus, lambda _: flags, policy, n_boot=n_boot, seed=seed)
             row = {"window": cfg.window, "threshold_k": cfg.threshold_k, "depth": cfg.depth}
             row.update((name, cells[i][name]) for name in names if name not in row)
             rows[i] = {**row, **pooled.to_dict()}

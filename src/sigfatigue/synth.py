@@ -143,7 +143,9 @@ class PatternSpec:
             self.base_kind == "non_continuous" or self.base_kind not in PATTERN_KINDS
         ):
             v.append(f"base_kind {self.base_kind!r} must be a non-gapped pattern kind")
-        if self.min_observations < 4:
+        if not isinstance(self.min_observations, (int, np.integer)):
+            v.append(f"min_observations {self.min_observations} must be an integer")
+        elif self.min_observations < 4:
             v.append(f"min_observations {self.min_observations} must be >= 4")
         elif self.kind == "non_continuous" and self.min_observations > self.duration_days:
             v.append(f"min_observations {self.min_observations} exceeds {self.duration_days} days")

@@ -396,7 +396,7 @@ def test_unknown_method_choices_guard():
     "argv", [["detect", "x.csv"], ["evaluate", "--pattern", "sharp_drop"]]
 )
 def test_method_choices_come_from_registry(argv, monkeypatch):
-    monkeypatch.setitem(METHODS, "noop", lambda **_: lambda series: [])
+    monkeypatch.setitem(METHODS, "noop", lambda **_: lambda series_list: [[] for _ in series_list])
     assert build_parser().parse_args(argv + ["--method", "noop"]).method == "noop"
 
 
@@ -573,7 +573,6 @@ def test_unbounded_cost_exits_2_before_any_distance(bad_inputs, capsys, monkeypa
         raise AssertionError("a distance series was computed")
 
     monkeypatch.setattr(detector, "distance_series", no_distances)
-    monkeypatch.setattr(evaluation, "distance_series", no_distances)
     monkeypatch.setattr(evaluation, "_pooled_distances", no_distances)
     assert main([arg.format(**bad_inputs) for arg in argv]) == 2
     assert name in capsys.readouterr().err

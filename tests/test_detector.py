@@ -62,7 +62,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("depth", 2.5), ("depth", 3.0), ("window", 14.5), ("window", np.float64(14.0))],
+        [
+            ("depth", 2.5), ("depth", 3.0), ("window", 14.5), ("window", np.float64(14.0)),
+            ("merge_gap", float("nan")), ("merge_gap", 1.5),
+        ],
     )
     def test_window_and_depth_must_be_integers(self, name, value):
         with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sigfatigue import detector, evaluation, sigcore as sc
 from sigfatigue.detector import DetectorConfig, detect
-from sigfatigue.errors import InvalidInputError
+from sigfatigue.errors import InsufficientDataError, InvalidInputError
 from sigfatigue.evaluation import (
     MatchPolicy,
     bootstrap_ci,
@@ -33,6 +33,14 @@ class TestMatching:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidInputError, match="tolerance_days"):
             MatchPolicy(tolerance_days=-1)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), 1.5, 3.0])
+    def test_tolerance_must_be_an_integer(self, tolerance):
+        with pytest.raises(InvalidInputError, match="tolerance_days must be an integer"):
+            MatchPolicy(tolerance_days=tolerance)
+
+    def test_numpy_integer_tolerance_accepted(self):
+        assert match_detections(days(59), days(60), MatchPolicy(np.int64(1)))
 
     def test_single_pair_within_tolerance(self):
         pairs = match_detections(days(59), days(60), MatchPolicy(3))
@@ -242,6 +250,11 @@ class TestPoolAndBootstrap:
             assert bootstrap_ci(scores, n_boot=n_boot, level=level, seed=seed) == expected
 
 
+def detect_oracle(cfg):
+    """A corpus callable that runs ``detect`` on each series alone."""
+    return lambda series_list: [[c.date for c in detect(s, cfg).change_points] for s in series_list]
+
+
 class TestHarness:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -278,15 +291,65 @@ class TestHarness:
             list(PATTERN_KINDS), 1, master_seed=3000, overrides={"duration_days": 120}
         )
         for cfg in (DetectorConfig(merge_gap=0), DetectorConfig(merge_gap=0, feature_mode="log")):
-            expected = evaluate_corpus(
-                corpus, lambda s, cfg=cfg: [c.date for c in detect(s, cfg).change_points], n_boot=20
-            )
+            expected = evaluate_corpus(corpus, detect_oracle(cfg), n_boot=20)
             calls = []
             monkeypatch.setattr(detector, "segment_series", lambda *a, **k: calls.append(a))
             method = make_method("signature", feature_mode=cfg.feature_mode)
             assert evaluate_corpus(corpus, method, n_boot=20) == expected
             monkeypatch.undo()
             assert calls == []
+
+
+class TestPooledEvaluate:
+    """``evaluate_corpus`` hands the whole corpus to the method in one call."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return generate_batch(
+            list(PATTERN_KINDS), 1, master_seed=3100, overrides={"duration_days": 120}
+        )
+
+    @pytest.mark.parametrize("feature_mode", ["full", "log"])
+    def test_signature_equals_per_series_detect(self, monkeypatch, corpus, feature_mode):
+        cfg = DetectorConfig(merge_gap=0, feature_mode=feature_mode)
+        expected = evaluate_corpus(corpus, detect_oracle(cfg), n_boot=20)
+        assert expected[0] == [
+            score([c.date for c in detect(item.series, cfg).change_points], item.truth_dates())
+            for item in corpus
+        ]
+        # a 200-loop block holds one 120-day series' 186 loops but not two
+        monkeypatch.setattr(sc, "BLOCK_BYTES", 8 * (2**3 + 2 * 15) * 200)
+        calls = []
+
+        def kernel(paths, depth, log=False):
+            calls.append(len(paths))
+            return sc.batch_signature(paths, depth, log=log)
+
+        monkeypatch.setattr(detector, "batch_signature", kernel)
+        method = "signature" if feature_mode == "full" else make_method("signature", feature_mode="log")
+        assert evaluate_corpus(corpus, method, n_boot=20) == expected
+        assert 1 < len(calls) <= len(corpus)
+
+    def test_first_short_series_raises_as_alone(self, corpus):
+        short = generate_batch("sharp_drop", 1, master_seed=5, overrides={"duration_days": 30})
+        cfg = DetectorConfig(window=21)
+        with pytest.raises(InsufficientDataError) as alone:
+            detect(short[0].series, cfg)
+        with pytest.raises(InsufficientDataError) as pooled:
+            evaluate_corpus(short + list(corpus), make_method("signature", window=21), n_boot=0)
+        assert str(pooled.value) == str(alone.value)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_number_of_detection_lists_rejected(self, corpus, extra):
+        n = len(corpus)
+        with pytest.raises(
+            InvalidInputError, match=f"returned {n + extra} detection lists for {n} series"
+        ):
+            evaluate_corpus(corpus, lambda series_list: [[]] * (len(series_list) + extra))
+
+    def test_corpus_is_read_once(self, corpus):
+        _, pooled = evaluate_corpus(iter(corpus), "cusum", n_boot=10)
+        assert pooled == evaluate_corpus(corpus, "cusum", n_boot=10)[1]
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +429,21 @@ class TestDistanceReuse:
             sum(2 * (len(item.series) - 2 * w + 1) for item in corpus) for w in (7, 14, 21)
         ]
 
+    def test_research_pass_makes_five_kernel_calls(self, monkeypatch, corpus):
+        calls = []
+
+        def kernel(paths, depth, log=False):
+            calls.append(log)
+            return sc.batch_signature(paths, depth, log=log)
+
+        monkeypatch.setattr(detector, "batch_signature", kernel)
+        for method in sorted(evaluation.METHODS):
+            evaluate_corpus(corpus, method, n_boot=10)
+        evaluate_corpus(corpus, make_method("signature", feature_mode="log"), n_boot=10)
+        sensitivity_report(corpus, n_boot=10)
+        # full and log evaluation, then one call per window of the sweep
+        assert calls == [False, True, False, False, False]
+
     def test_sensitivity_rows_equal_per_cell_evaluation(self, corpus):
         rows = sensitivity_report(corpus, grid=self.GRID, n_boot=20, seed=5)
         keys = ("window", "threshold_k", "depth", "feature_mode", "merge_gap")
@@ -413,7 +491,6 @@ class TestSensitivity:
     @pytest.mark.parametrize("n_boot", [-1, evaluation.MAX_BOOTSTRAP + 1])
     def test_n_boot_checked_before_any_distance(self, monkeypatch, n_boot):
         corpus = generate_batch("sharp_drop", 2, master_seed=91, overrides={"duration_days": 120})
-        monkeypatch.setattr(evaluation, "distance_series", None)
         monkeypatch.setattr(evaluation, "_pooled_distances", None)
         with pytest.raises(InvalidInputError, match="n_boot"):
             sensitivity_report(corpus, n_boot=n_boot)

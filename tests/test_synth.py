@@ -76,6 +76,8 @@ class TestValidation:
             ("change_days", {"kind": "fatigue_recovery", "change_days": (50, 40)}),
             ("min_observations",
              {"kind": "non_continuous", "duration_days": 30, "min_observations": 40}),
+            ("min_observations", {"min_observations": 30.5}),
+            ("min_observations", {"min_observations": float("nan")}),
         ],
     )
     def test_each_rule_gives_one_violation_naming_its_field(self, name, fields):
