@@ -1,30 +1,25 @@
 """Signature-distance change point detection and trend segmentation.
 
 The detector slides a pair of adjacent, non-overlapping windows across
-the series.  Each window becomes a 2-D polyline (normalized time vs.
-min-max scaled metric, scale shared across the pair), closed into a
-loop through the origin: the path starts at (0, 0), rises to the first
-observation, traverses the window and drops back to baseline at (1, 0).
-Signatures are translation invariant, so without the closure two
-windows sitting at different levels would be indistinguishable; with it
-the enclosed-area terms encode each window's level while higher terms
-keep their sensitivity to trend and volatility shape.  The Euclidean
-distance between the truncated signatures of the two loops is the test
-statistic; a boundary is flagged when its distance exceeds
-mean + k * std of all distances.  Flag runs are merged, the series is
-partitioned at the surviving change points, and each segment gets a
-trend label from an ordinary least squares slope test.
+the series and compares them as paths.  ``windowing.pair_paths`` owns
+that geometry: each window becomes a loop of normalized time against
+the metric, scaled over the pair and closed through the baseline, and
+its docstring says why.  The Euclidean distance between the truncated
+signatures of the two loops is the test statistic; a boundary is
+flagged when its distance exceeds mean + k * std of all distances.
+Flag runs are merged, the series is partitioned at the surviving change
+points, and each segment gets a trend label from an ordinary least
+squares slope test.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_integer
 from .sigcore import _block_paths, batch_signature
 from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict, pair_paths
 
@@ -70,18 +65,18 @@ class DetectorConfig:
 
     def __post_init__(self):
         for name in ("window", "depth"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_integer(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.window < 2:
             raise InvalidInputError(f"window must be >= 2, got {self.window}")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise InvalidInputError(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
-        if not 0 < self.threshold_k < np.inf:
+        if isinstance(self.threshold_k, bool) or not 0 < self.threshold_k < np.inf:
             raise InvalidInputError(f"threshold_k must be finite and > 0, got {self.threshold_k}")
         if not 0 < self.alpha < 1:
             raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
         gap = self.merge_gap
-        if gap is not None and not (isinstance(gap, numbers.Integral) and gap >= 0):
+        if gap is not None and not (is_integer(gap) and gap >= 0):
             raise InvalidInputError(f"merge_gap must be an integer >= 0 or None, got {gap!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise InvalidInputError(
@@ -153,47 +148,36 @@ def _pooled_distances(series_list, cfg: DetectorConfig) -> list:
     """``distance_series(s, cfg)`` for each series s of ``series_list``.
 
     Runs of whole series whose loops fit one kernel block, or a single
-    series that does not, share one ``batch_signature`` call.  Kernel
-    rows do not depend on the split, so each array equals the one-series
-    call bit for bit.
+    series that does not, share one ``batch_signature`` call over their
+    loops, stacked series by series.  Kernel rows do not depend on the
+    split, so each array equals the one-series call bit for bit.
     """
     block = _block_paths(cfg.window + 2, 2, cfg.depth)
     pools, size = [], 0
     for series in series_list:
-        loops = 2 * (len(series) - 2 * cfg.window + 1)
-        if not pools or size + loops > block:
+        n_loops = 2 * (len(series) - 2 * cfg.window + 1)
+        if not pools or size + n_loops > block:
             pools.append([])
             size = 0
         pools[-1].append(series)
-        size += loops
-    return [points for pool in pools for points in _pool_distances(pool, cfg)]
-
-
-def _pool_distances(pool: list, cfg: DetectorConfig) -> list:
-    """The distance arrays of ``pool`` from one ``batch_signature`` call."""
-    pairs = [pair_paths(series, cfg.window) for series in pool]
-    ends = np.cumsum([len(dates) for dates, _, _ in pairs]).tolist()
-    spans = [(end - len(dates), end) for (dates, _, _), end in zip(pairs, ends)]
-    n_pairs = ends[-1]
-    # close each window path into a loop (0, 0) -> path -> (1, 0) so that
-    # window level survives the signature's translation invariance; all
-    # left loops come first, then all right ones
-    loops = np.zeros((2 * n_pairs, cfg.window + 2, 2))
-    for (_, left, right), (start, end) in zip(pairs, spans):
-        loops[start:end, 1:-1] = left
-        loops[n_pairs + start : n_pairs + end, 1:-1] = right
-    loops[:, -1, 0] = 1.0
-    boundary_dates = [dates for dates, _, _ in pairs]
-    del pairs  # the loops hold a copy; keep peak memory to one of them
-    features = batch_signature(loops, cfg.depth, log=cfg.feature_mode == "log")
+        size += n_loops
     out = []
-    for dates, (start, end) in zip(boundary_dates, spans):
-        diff = features[start:end] - features[n_pairs + start : n_pairs + end]
-        points = np.empty(len(dates), dtype=DISTANCE_DTYPE)
-        points["date"] = dates
-        # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
-        points["distance"] = np.sqrt(np.vecdot(diff, diff))
-        out.append(points)
+    for pool in pools:
+        dates, loops = zip(*(pair_paths(series, cfg.window) for series in pool))
+        # one series' loops go in as they are; the stack of several replaces
+        # theirs, so one copy of the pool's loops is alive in the kernel
+        loops = loops[0] if len(loops) == 1 else np.concatenate(loops)
+        features = batch_signature(loops, cfg.depth, log=cfg.feature_mode == "log")
+        for boundary in dates:
+            # a series' rows are its left loops, then its right ones
+            n = len(boundary)
+            diff = features[:n] - features[n : 2 * n]
+            features = features[2 * n :]
+            points = np.empty(n, dtype=DISTANCE_DTYPE)
+            points["date"] = boundary
+            # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
+            points["distance"] = np.sqrt(np.vecdot(diff, diff))
+            out.append(points)
     return out
 
 

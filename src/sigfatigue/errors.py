@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class SigFatigueError(Exception):

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baselines
 from .detector import DetectorConfig, _pooled_distances, flag_change_points
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_integer
 from .windowing import _record_dict
 
 __all__ = [
@@ -52,13 +51,14 @@ __all__ = [
 # bootstrap_ci draws an (n_boot, n_series) index array in one call
 MAX_BOOTSTRAP = 10_000
 N_BOOT = 100  # bootstrap resamples by default
+CI_LEVEL = 0.95  # of every bootstrap interval
 # the parameter grid sensitivity_report sweeps by default
 DEFAULT_GRID = {"window": (7, 14, 21), "threshold_k": (1.5, 2.0, 2.5), "depth": (3,)}
 
 
 def _check_n_boot(n_boot: int) -> None:
-    if not 0 <= n_boot <= MAX_BOOTSTRAP:
-        raise InvalidInputError(f"n_boot must be in [0, {MAX_BOOTSTRAP}], got {n_boot}")
+    if not (is_integer(n_boot) and 0 <= n_boot <= MAX_BOOTSTRAP):
+        raise InvalidInputError(f"n_boot must be an integer in [0, {MAX_BOOTSTRAP}], got {n_boot!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class MatchPolicy:
     tolerance_days: int = 3
 
     def __post_init__(self):
-        if not isinstance(self.tolerance_days, numbers.Integral) or self.tolerance_days < 0:
+        if not is_integer(self.tolerance_days) or self.tolerance_days < 0:
             raise InvalidInputError(
                 f"tolerance_days must be an integer >= 0, got {self.tolerance_days!r}"
             )
@@ -175,8 +175,8 @@ def pool_scores(scores) -> EvalMetrics:
     )
 
 
-def bootstrap_ci(scores, n_boot: int = N_BOOT, level: float = 0.95, seed: int = 0) -> dict:
-    """Percentile bootstrap over series for each pooled metric.
+def bootstrap_ci(scores, n_boot: int = N_BOOT, seed: int = 0) -> dict:
+    """Percentile bootstrap over series for each pooled metric, at ``CI_LEVEL``.
 
     ``n_boot`` is from 0 to ``MAX_BOOTSTRAP``.  All resamples are drawn
     in one call, which yields the same index stream as one draw per
@@ -186,8 +186,6 @@ def bootstrap_ci(scores, n_boot: int = N_BOOT, level: float = 0.95, seed: int = 
     scores = list(scores)
     if len(scores) < 2:
         raise InvalidInputError("bootstrap needs at least 2 series")
-    if not 0 < level < 1:
-        raise InvalidInputError(f"level must be in (0, 1), got {level}")
     _check_n_boot(n_boot)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(scores), size=(n_boot, len(scores)))
@@ -196,7 +194,7 @@ def bootstrap_ci(scores, n_boot: int = N_BOOT, level: float = 0.95, seed: int = 
     )
     detected, true, matched, n_delays, delay_sum = counts[idx].sum(axis=1).T
     precision, recall, f1, mean_delay = _rates(detected, true, matched, n_delays, delay_sum)
-    lo_q, hi_q = 100 * (1 - level) / 2, 100 * (1 + level) / 2
+    lo_q, hi_q = 100 * (1 - CI_LEVEL) / 2, 100 * (1 + CI_LEVEL) / 2
     rates = ("precision", "recall", "f1")
     out = dict.fromkeys((*rates, "mean_delay_days"))
     if len(idx):

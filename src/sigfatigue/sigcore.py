@@ -33,12 +33,11 @@ readable specification it is tested against.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, ShapeError
+from .errors import InsufficientDataError, InvalidInputError, ShapeError, is_integer
 
 __all__ = [
     "TensorSeq",
@@ -148,7 +147,7 @@ def _product(a: TensorSeq, b: TensorSeq) -> TensorSeq:
 
 
 def _check_depth(depth) -> None:
-    if not isinstance(depth, numbers.Integral) or depth < 1:
+    if not is_integer(depth) or depth < 1:
         raise InvalidInputError(f"depth must be an integer >= 1, got {depth!r}")
 
 

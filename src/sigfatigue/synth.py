@@ -12,7 +12,7 @@ truth at the days where the generating law changes:
                         truth = [drop day]
   fatigue_recovery      linear decline from the first change day, then
                         linear recovery toward 70% of baseline from the
-                        second; truth = both days
+                        second (a trough above that holds); truth = both days
   volatile_decline      gradual_linear_decay with the noise level forced
                         to the top of its documented range (0.30)
   multi_stage_decline   n_stages multiplicative steps of stage_drop at
@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PatternSpecError
+from .errors import PatternSpecError, is_integer
 from .windowing import TimeSeries, _record_dict
 
 __all__ = [
@@ -87,6 +87,11 @@ IMPRESSIONS_CV = 0.2
 MAX_IMPRESSIONS_MEAN = 2**53
 
 
+def _days(values) -> tuple:
+    # integers become ints; any other value is kept for validate to name
+    return tuple(int(d) if is_integer(d) else d for d in values)
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     """Configuration of one synthetic series."""
@@ -109,7 +114,7 @@ class PatternSpec:
 
     def __post_init__(self):
         if self.change_days is not None:
-            object.__setattr__(self, "change_days", tuple(int(d) for d in self.change_days))
+            object.__setattr__(self, "change_days", _days(self.change_days))
 
     def validate(self) -> list:
         """Return a list of range violations (empty when valid)."""
@@ -131,19 +136,23 @@ class PatternSpec:
                 lo = 0  # 0 is allowed, for reproducible noiseless fixtures
             if not lo <= value <= hi:
                 v.append(f"{name} {value} outside [{lo}, {hi}]")
-            elif isinstance(hi, int) and not isinstance(value, (int, np.integer)):
+            elif isinstance(hi, int) and not is_integer(value):
                 v.append(f"{name} {value} must be an integer")
             elif name == "duration_days" and (dt.date.max - self.start_date).days < value - 1:
                 v.append(f"start_date {self.start_date} leaves fewer than {value} days")
         if not 1 <= self.impressions_mean <= MAX_IMPRESSIONS_MEAN:
             v.append(f"impressions_mean {self.impressions_mean} outside [1, 2**53]")
+        elif not is_integer(self.impressions_mean):
+            v.append(f"impressions_mean {self.impressions_mean} must be an integer")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            v.append(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 <= self.gap_fraction < 1.0:
             v.append(f"gap_fraction {self.gap_fraction} outside [0, 1)")
         if self.kind == "non_continuous" and (
             self.base_kind == "non_continuous" or self.base_kind not in PATTERN_KINDS
         ):
             v.append(f"base_kind {self.base_kind!r} must be a non-gapped pattern kind")
-        if not isinstance(self.min_observations, (int, np.integer)):
+        if not is_integer(self.min_observations):
             v.append(f"min_observations {self.min_observations} must be an integer")
         elif self.min_observations < 4:
             v.append(f"min_observations {self.min_observations} must be >= 4")
@@ -158,9 +167,10 @@ class PatternSpec:
                 v.append(
                     f"{self.kind} takes {expected} change day(s), got {len(days)}"
                 )
-            if any(not 1 <= d <= self.duration_days for d in days):
-                v.append(f"change_days {days} outside [1, {self.duration_days}]")
-            if list(days) != sorted(set(days)):
+            whole = all(map(is_integer, days))
+            if not (whole and all(1 <= d <= self.duration_days for d in days)):
+                v.append(f"change_days {days} must be integers in [1, {self.duration_days}]")
+            if whole and list(days) != sorted(set(days)):
                 v.append(f"change_days {days} must be strictly increasing")
         return v
 
@@ -176,7 +186,7 @@ class GroundTruth:
     change_days: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "change_days", tuple(int(d) for d in self.change_days))
+        object.__setattr__(self, "change_days", _days(self.change_days))
 
     def change_dates(self, start_date: dt.date) -> list:
         return [start_date + dt.timedelta(days=d - 1) for d in self.change_days]
@@ -246,10 +256,9 @@ def clean_ctr_curve(spec: PatternSpec) -> np.ndarray:
         decline = 1.0 - daily * np.maximum(t - tau1, 0.0)
         trough = max(1.0 - daily * (tau2 - tau1), DECAY_FLOOR)
         recover = trough + daily * np.maximum(t - tau2, 0.0)
-        shape = np.where(t < tau2, np.maximum(decline, DECAY_FLOOR), np.minimum(recover, RECOVERY_LEVEL))
-        if trough >= RECOVERY_LEVEL:
-            # shallow decline: the second change just stabilises the level
-            shape = np.where(t < tau2, np.maximum(decline, DECAY_FLOOR), trough)
+        # recover >= trough, so a trough above the recovery level just holds
+        cap = max(RECOVERY_LEVEL, trough)
+        shape = np.where(t < tau2, np.maximum(decline, DECAY_FLOOR), np.minimum(recover, cap))
         return base * shape
 
     if kind == "multi_stage_decline":

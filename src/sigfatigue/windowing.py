@@ -177,19 +177,20 @@ class TimeSeries:
 
 
 def pair_paths(series: TimeSeries, window: int) -> tuple:
-    """Unit-square paths of every adjacent window pair, stride 1.
+    """Closed loops of every adjacent window pair, stride 1: the kernel input.
 
     A series of T observations has P = T - 2*window + 1 pairs; pair i is
     observations i .. i + window - 1 (left) and the next ``window``
     (right), and its boundary date is the date of the first observation
-    of the right window.  Returns (boundary dates, left, right), with
-    left and right (P, window, 2) arrays of paths.  Column 0 is time,
-    mapped to [0, 1] over each window by elapsed days so calendar gaps
-    survive as non-uniform spacing.  Column 1 is the metric, min-max
-    scaled over the union of the pair's two windows, with constant
-    pairs pinned to 0.5.  The shared scale is what lets the downstream
-    signature comparison see level shifts between the windows, which
-    per-window scaling would erase.
+    of the right window.  Returns (boundary dates, loops), with loops a
+    (2P, window + 2, 2) array: the P left loops, then the P right ones.
+    Each runs from (0, 0) through its window's points to (1, 0): time,
+    mapped to [0, 1] over the window by elapsed days so calendar gaps
+    survive, against the metric, min-max scaled over the pair's two
+    windows (constant pairs pinned to 0.5).  The shared scale lets the
+    signature comparison see level shifts between the windows.  The
+    closure keeps each window's level, which the signature's translation
+    invariance would drop, in the enclosed-area terms.
     """
     if window < 2:
         raise InvalidInputError(f"window must be >= 2, got {window}")
@@ -202,20 +203,21 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     pairs = sliding_window_view(series.metric_values(), 2 * window)  # (P, 2W) view
     lo = pairs.min(axis=1, keepdims=True)
     span = pairs.max(axis=1, keepdims=True) - lo
-    paths = np.empty((n_pairs, 2 * window, 2))
+    # (side, pair, vertex, coordinate); the zeros are the (0, 0) start vertices
+    loops = np.zeros((2, n_pairs, window + 2, 2))
+    points = loops[:, :, 1:-1]
     with np.errstate(invalid="ignore"):
-        np.divide(pairs - lo, span, out=paths[..., 1])
-    # a constant pair is geometrically a flat line; keep it interior to
-    # the unit square
-    paths[span[:, 0] == 0, :, 1] = 0.5
-    # every window is the left of one pair and the right of another, so
-    # each window's time axis is computed once
+        np.divide(pairs.reshape(-1, 2, window).swapaxes(0, 1) - lo, span, out=points[..., 1])
+    # a constant pair is a flat line, kept inside the unit square
+    points[:, span[:, 0] == 0, :, 1] = 0.5
+    # each window is the left of one pair and the right of another: one time axis each
     days = sliding_window_view(series.day_offsets(), window)  # (T - W + 1, W) view
     elapsed = days - days[:, :1]
     t = elapsed / elapsed[:, -1:]
-    paths[:, :window, 0] = t[:n_pairs]
-    paths[:, window:, 0] = t[window:]
-    return series.dates[window : window + n_pairs], paths[:, :window], paths[:, window:]
+    points[0, ..., 0] = t[:n_pairs]
+    points[1, ..., 0] = t[window:]
+    loops[:, :, -1, 0] = 1.0  # the (1, 0) end vertices
+    return series.dates[window : window + n_pairs], loops.reshape(-1, window + 2, 2)
 
 
 def read_series_csv(path, metric: str = "ctr") -> TimeSeries:

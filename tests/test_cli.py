@@ -474,8 +474,10 @@ def test_detect_loads_scipy_special(tmp_path):
 # {csv} a valid series, {corpus} a directory of generated series, {file}
 # an existing file, {missing} a path that does not exist, {latin1} a CSV
 # with a byte that is not UTF-8, {truncated} and {specless} corpora with
-# one broken manifest, {empty} a directory with no manifest and {csvless}
-# one whose manifest has no series file.
+# one broken manifest, {farday}, {infday} and {fracday} corpora whose one
+# truth day is past the series, infinite or fractional, {empty} a
+# directory with no manifest and {csvless} one whose manifest has no
+# series file.
 BAD_INVOCATIONS = [
     ["sweep", "--pattern", "sharp_drop", "--windows", "abc"],
     ["generate", "--pattern", "sharp_drop", "--change-days", "x,y", "--out", "{missing}"],
@@ -505,6 +507,8 @@ BAD_INVOCATIONS = [
     ["sweep", "--corpus", "{farday}"],
     ["evaluate", "--corpus", "{infday}"],
     ["sweep", "--corpus", "{infday}"],
+    ["evaluate", "--corpus", "{fracday}"],
+    ["detect", "{csv}", "--metric", "cpm"],
 ]
 
 
@@ -536,7 +540,8 @@ def bad_inputs(tmp_path):
     del manifest["spec"]
     for name, text in [("truncated", manifest_path.read_text()[:40]),
                        ("specless", json.dumps(manifest)),
-                       ("farday", farday), ("infday", farday.replace("3000000", "1e400"))]:
+                       ("farday", farday), ("infday", farday.replace("3000000", "1e400")),
+                       ("fracday", farday.replace("3000000", "61.5"))]:
         paths[name] = tmp_path / name
         paths[name].mkdir()
         (paths[name] / "s.csv").write_bytes(csv_path.read_bytes())

@@ -54,6 +54,7 @@ class TestConfig:
             {"alpha": 1.0},
             {"merge_gap": -1},
             {"feature_mode": "lyndon"},
+            {"threshold_k": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -65,6 +66,7 @@ class TestConfig:
         [
             ("depth", 2.5), ("depth", 3.0), ("window", 14.5), ("window", np.float64(14.0)),
             ("merge_gap", float("nan")), ("merge_gap", 1.5),
+            ("depth", True), ("window", True), ("merge_gap", False),
         ],
     )
     def test_window_and_depth_must_be_integers(self, name, value):

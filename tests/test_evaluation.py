@@ -34,7 +34,7 @@ class TestMatching:
         with pytest.raises(InvalidInputError, match="tolerance_days"):
             MatchPolicy(tolerance_days=-1)
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), 1.5, 3.0])
+    @pytest.mark.parametrize("tolerance", [float("nan"), 1.5, 3.0, True, False])
     def test_tolerance_must_be_an_integer(self, tolerance):
         with pytest.raises(InvalidInputError, match="tolerance_days must be an integer"):
             MatchPolicy(tolerance_days=tolerance)
@@ -230,24 +230,28 @@ class TestPoolAndBootstrap:
         with pytest.raises(InvalidInputError, match="zero scores"):
             pool_scores([])
 
-    def test_level_one_rejected(self):
-        with pytest.raises(InvalidInputError, match="level"):
-            bootstrap_ci([score(days(1), days(1))] * 2, level=1.0)
-
-    @pytest.mark.parametrize("n_boot", [-1, evaluation.MAX_BOOTSTRAP + 1])
+    @pytest.mark.parametrize("n_boot", [-1, evaluation.MAX_BOOTSTRAP + 1, 2.5, True])
     def test_n_boot_bounded(self, n_boot):
         scores = [score(days(1), days(1))] * 2
         with pytest.raises(InvalidInputError, match="n_boot"):
             bootstrap_ci(scores, n_boot=n_boot)
 
+    @pytest.mark.parametrize("n_boot", [2.5, True])
+    def test_evaluate_corpus_checks_n_boot(self, n_boot):
+        corpus = generate_batch(["sharp_drop"], 2, master_seed=1, overrides={"duration_days": 60})
+        with pytest.raises(InvalidInputError, match="n_boot must be an integer"):
+            evaluate_corpus(corpus, "cusum", n_boot=n_boot)
+
     @pytest.mark.parametrize("n_boot", [0, 1, 2, 100])
     @pytest.mark.parametrize("level", [0.9, 0.95])
     @pytest.mark.parametrize("case", sorted(BOOTSTRAP_CASES))
-    def test_bit_equal_to_pool_scores_loop(self, case, level, n_boot):
+    def test_bit_equal_to_pool_scores_loop(self, monkeypatch, case, level, n_boot):
+        # the level is a module constant; 0.9 checks that the quantiles follow it
+        monkeypatch.setattr(evaluation, "CI_LEVEL", level)
         scores = BOOTSTRAP_CASES[case]
         for seed in (0, 7):
             expected = loop_bootstrap_ci(scores, n_boot, level, seed)
-            assert bootstrap_ci(scores, n_boot=n_boot, level=level, seed=seed) == expected
+            assert bootstrap_ci(scores, n_boot=n_boot, seed=seed) == expected
 
 
 def detect_oracle(cfg):

@@ -306,7 +306,7 @@ class TestBatchSignature:
         )
         assert float(out.stdout) < 10, out.stdout
 
-    @pytest.mark.parametrize("depth", [2.0, 2.5, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("depth", [2.0, 2.5, np.float64(3.0), "3", True])
     def test_rejects_depth_that_is_not_an_integer(self, depth):
         with pytest.raises(InvalidInputError, match="depth must be an integer"):
             sc.batch_signature(np.zeros((2, 3, 2)), depth)

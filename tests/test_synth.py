@@ -6,7 +6,10 @@ import pytest
 
 from sigfatigue.errors import PatternSpecError
 from sigfatigue.synth import (
+    DECAY_FLOOR,
     PATTERN_KINDS,
+    RECOVERY_LEVEL,
+    GroundTruth,
     PatternSpec,
     clean_ctr_curve,
     default_change_days,
@@ -15,6 +18,20 @@ from sigfatigue.synth import (
 )
 
 COLUMNS = ("dates", "impressions", "clicks")
+
+
+def two_branch_recovery(spec):
+    """The clean fatigue_recovery curve with the shallow decline, a trough
+    at or above the recovery level, as a branch of its own."""
+    t = np.arange(1, spec.duration_days + 1, dtype=float)
+    daily = spec.weekly_decay_rate / 7.0
+    tau1, tau2 = spec.change_days
+    decline = np.maximum(1.0 - daily * np.maximum(t - tau1, 0.0), DECAY_FLOOR)
+    trough = max(1.0 - daily * (tau2 - tau1), DECAY_FLOOR)
+    if trough >= RECOVERY_LEVEL:
+        return spec.baseline_ctr * np.where(t < tau2, decline, trough)
+    recover = trough + daily * np.maximum(t - tau2, 0.0)
+    return spec.baseline_ctr * np.where(t < tau2, decline, np.minimum(recover, RECOVERY_LEVEL))
 
 
 class TestValidation:
@@ -78,11 +95,23 @@ class TestValidation:
              {"kind": "non_continuous", "duration_days": 30, "min_observations": 40}),
             ("min_observations", {"min_observations": 30.5}),
             ("min_observations", {"min_observations": float("nan")}),
+            ("impressions_mean", {"impressions_mean": 1000.5}),
+            ("seed", {"seed": -1}),
+            ("seed", {"seed": 1.5}),
+            ("seed", {"seed": True}),
+            ("change_days", {"change_days": (30.7,)}),
         ],
     )
     def test_each_rule_gives_one_violation_naming_its_field(self, name, fields):
         (violation,) = PatternSpec(**{"kind": "sharp_drop", **fields}).validate()
         assert name in violation
+
+    def test_fractional_days_are_kept_for_validation(self):
+        assert GroundTruth((3.9,)).change_days == (3.9,)
+        spec = PatternSpec(kind="sharp_drop", change_days=(np.int64(30),))
+        assert spec.change_days == (30,) and type(spec.change_days[0]) is int
+        with pytest.raises(PatternSpecError, match="must be integers"):
+            generate(PatternSpec(kind="sharp_drop", change_days=(30.7,)))
 
     def test_change_days_checked_once_the_other_fields_hold(self):
         # a multi-stage decline takes n_stages change days, so they are not
@@ -174,6 +203,32 @@ class TestCleanForms:
         assert curve[tau2 - 1] < 0.02
         assert curve[-1] > curve[tau2 - 1]
         assert curve[-1] <= 0.02 * 0.7 + 1e-12
+
+    def test_shallow_recovery_holds_its_trough(self):
+        spec = PatternSpec(
+            kind="fatigue_recovery", noise_cv=0.0, duration_days=120,
+            weekly_decay_rate=0.02, change_days=(40, 80),
+        )
+        curve = clean_ctr_curve(spec)
+        assert np.all(curve[79:] == curve[79]) and curve[79] > 0.02 * RECOVERY_LEVEL
+        assert curve.tobytes() == two_branch_recovery(spec).tobytes()
+
+    def test_recovery_bit_equal_to_two_branch_form(self):
+        rng = np.random.default_rng(12)
+        shallow = 0
+        for _ in range(300):
+            days = int(rng.integers(30, 181))
+            tau1 = int(rng.integers(1, days))
+            spec = PatternSpec(
+                kind="fatigue_recovery", noise_cv=0.0, duration_days=days,
+                weekly_decay_rate=float(rng.uniform(0.02, 0.08)),
+                baseline_ctr=float(rng.uniform(0.005, 0.03)),
+                change_days=(tau1, int(rng.integers(tau1 + 1, days + 1))),
+            )
+            assert clean_ctr_curve(spec).tobytes() == two_branch_recovery(spec).tobytes()
+            tau1, tau2 = spec.change_days
+            shallow += 1.0 - spec.weekly_decay_rate / 7.0 * (tau2 - tau1) >= RECOVERY_LEVEL
+        assert 0 < shallow < 300
 
     def test_multi_stage_levels(self):
         spec = PatternSpec(

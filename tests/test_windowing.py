@@ -66,6 +66,10 @@ class TestSeriesPoint:
         with pytest.raises(InvalidInputError):
             p.metric_values("cpm")
 
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^unknown metric 'cpm', expected one of"):
+            TimeSeries(dates=[START], impressions=[10], clicks=[1], metric="cpm")
+
 
 class TestTimeSeries:
     def test_requires_strictly_increasing_dates(self):
@@ -126,6 +130,17 @@ def make_series(values, dates=None):
     return series_from_ctr(values, impressions=100_000, dates=dates)
 
 
+def window_paths(series, window):
+    """(boundary dates, left, right) from ``pair_paths``: the interiors of
+    its first P loops and of its last P, once every loop is checked to run
+    from (0, 0) to (1, 0)."""
+    dates, loops = pair_paths(series, window)
+    n_pairs = len(dates)
+    assert loops.shape == (2 * n_pairs, window + 2, 2)
+    assert np.all(loops[:, 0] == [0.0, 0.0]) and np.all(loops[:, -1] == [1.0, 0.0])
+    return dates, loops[:n_pairs, 1:-1], loops[n_pairs:, 1:-1]
+
+
 def cost_series(costs, dates=None):
     n = len(costs)
     return TimeSeries(
@@ -138,7 +153,7 @@ class TestWindowPairs:
     @pytest.mark.parametrize("total,window,expected", [(30, 14, 3), (28, 14, 1), (120, 14, 93)])
     def test_pair_count(self, total, window, expected):
         series = series_from_ctr([0.01] * total)
-        dates, left, right = pair_paths(series, window)
+        dates, left, right = window_paths(series, window)
         assert len(dates) == expected
         assert left.shape == right.shape == (expected, window, 2)
 
@@ -155,14 +170,14 @@ class TestWindowPairs:
     def test_boundary_is_first_date_of_right_window(self):
         dates = [START + dt.timedelta(days=3 * i + i % 3) for i in range(30)]
         series = make_series([0.01] * 30, dates)
-        boundaries, _, _ = pair_paths(series, 14)
+        boundaries, _, _ = window_paths(series, 14)
         assert boundaries[0] == dates[14]
         assert boundaries.tolist() == dates[14:17]
 
     def test_windows_are_adjacent_and_disjoint(self):
         values = np.random.default_rng(4).permutation(np.arange(100, 140)) / 10_000
         series = make_series(values)
-        _, left, right = pair_paths(series, 10)
+        _, left, right = window_paths(series, 10)
         for i in range(len(left)):
             # undo the pair's shared min-max scale to recover the observations
             pair = values[i : i + 20]
@@ -173,19 +188,19 @@ class TestWindowPairs:
 
 class TestNormalizeWindow:
     def test_linear_ramp(self):
-        _, left, right = pair_paths(make_series([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]), 3)
+        _, left, right = window_paths(make_series([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]), 3)
         np.testing.assert_allclose(left[0], [[0, 0], [0.5, 0.2], [1, 0.4]], atol=1e-15)
         np.testing.assert_allclose(right[0], [[0, 0.6], [0.5, 0.8], [1, 1]], atol=1e-15)
 
     def test_constant_window_maps_to_half(self):
-        _, left, right = pair_paths(make_series([0.02] * 12), 3)
+        _, left, right = window_paths(make_series([0.02] * 12), 3)
         assert left.shape[0] == 7
         assert np.all(left[:, :, 1] == 0.5) and np.all(right[:, :, 1] == 0.5)
 
     def test_calendar_gap_preserved(self):
         offsets = [0, 1, 4, 10, 12, 14]
         dates = [START + dt.timedelta(days=d) for d in offsets]
-        _, left, right = pair_paths(make_series([0.03, 0.02, 0.01, 0.01, 0.02, 0.03], dates), 3)
+        _, left, right = window_paths(make_series([0.03, 0.02, 0.01, 0.01, 0.02, 0.03], dates), 3)
         np.testing.assert_allclose(left[0, :, 0], [0, 0.25, 1])
         np.testing.assert_allclose(left[0, :, 1], [1, 0.5, 0])
         np.testing.assert_allclose(right[0, :, 0], [0, 0.5, 1])
@@ -201,7 +216,7 @@ class TestNormalizeWindow:
             window = int(rng.integers(2, 15))
             n = 2 * window + int(rng.integers(0, 10))
             dates = [START + dt.timedelta(days=int(d)) for d in np.cumsum(rng.integers(1, 4, n))]
-            _, left, right = pair_paths(make_series(rng.uniform(0.001, 0.2, n), dates), window)
+            _, left, right = window_paths(make_series(rng.uniform(0.001, 0.2, n), dates), window)
             for path in (left, right):
                 assert path.min() >= 0.0 and path.max() <= 1.0
                 assert np.all(path[:, 0, 0] == 0.0) and np.all(path[:, -1, 0] == 1.0)
@@ -209,13 +224,13 @@ class TestNormalizeWindow:
 
 class TestNormalizePair:
     def test_shared_scale_keeps_level_difference(self):
-        _, left, right = pair_paths(make_series([0.02] * 5 + [0.01] * 5), 5)
+        _, left, right = window_paths(make_series([0.02] * 5 + [0.01] * 5), 5)
         assert np.all(left[0, :, 1] == 1.0)
         assert np.all(right[0, :, 1] == 0.0)
 
     def test_constant_pair_maps_to_half(self):
         # only the pairs that lie wholly inside the flat stretch are constant
-        _, left, right = pair_paths(make_series([0.02] * 12 + [0.01] * 4), 5)
+        _, left, right = window_paths(make_series([0.02] * 12 + [0.01] * 4), 5)
         flat = (left[:, :, 1] == 0.5).all(axis=1) & (right[:, :, 1] == 0.5).all(axis=1)
         np.testing.assert_array_equal(flat, [True, True, True] + [False] * 4)
 
@@ -227,8 +242,8 @@ class TestNormalizePair:
 )
 def test_scale_invariance(values, factor):
     window = len(values) // 2
-    _, base_l, base_r = pair_paths(cost_series(values), window)
-    _, scaled_l, scaled_r = pair_paths(cost_series([v * factor for v in values]), window)
+    _, base_l, base_r = window_paths(cost_series(values), window)
+    _, scaled_l, scaled_r = window_paths(cost_series([v * factor for v in values]), window)
     np.testing.assert_allclose(scaled_l, base_l, atol=1e-9)
     np.testing.assert_allclose(scaled_r, base_r, atol=1e-9)
 
@@ -237,11 +252,11 @@ def test_scale_invariance(values, factor):
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_time_shift_invariance(shift_days):
     values = [0.01, 0.013, 0.011, 0.02, 0.016, 0.012]
-    _, base_l, base_r = pair_paths(make_series(values), 3)
+    _, base_l, base_r = window_paths(make_series(values), 3)
     shifted_dates = [
         START + dt.timedelta(days=shift_days + i) for i in range(len(values))
     ]
-    _, shifted_l, shifted_r = pair_paths(make_series(values, shifted_dates), 3)
+    _, shifted_l, shifted_r = window_paths(make_series(values, shifted_dates), 3)
     np.testing.assert_array_equal(base_l, shifted_l)
     np.testing.assert_array_equal(base_r, shifted_r)
 
@@ -249,9 +264,9 @@ def test_time_shift_invariance(shift_days):
 @pytest.mark.parametrize("stretch", [2, 3, 7])
 def test_time_stretch_invariance(stretch):
     values = [0.01, 0.013, 0.011, 0.02, 0.016, 0.012]
-    _, base_l, base_r = pair_paths(make_series(values), 3)
+    _, base_l, base_r = window_paths(make_series(values), 3)
     stretched_dates = [START + dt.timedelta(days=stretch * i) for i in range(len(values))]
-    _, stretched_l, stretched_r = pair_paths(make_series(values, stretched_dates), 3)
+    _, stretched_l, stretched_r = window_paths(make_series(values, stretched_dates), 3)
     np.testing.assert_allclose(stretched_l, base_l, atol=1e-15)
     np.testing.assert_allclose(stretched_r, base_r, atol=1e-15)
 
@@ -259,9 +274,9 @@ def test_time_stretch_invariance(stretch):
 def test_metric_scale_invariance_on_cost_column():
     rng = np.random.default_rng(8)
     costs = rng.uniform(5, 50, 12)
-    _, base_l, base_r = pair_paths(cost_series(costs), 6)
+    _, base_l, base_r = window_paths(cost_series(costs), 6)
     for factor in (2.0, 0.5, 3.0):
-        _, scaled_l, scaled_r = pair_paths(cost_series(costs * factor), 6)
+        _, scaled_l, scaled_r = window_paths(cost_series(costs * factor), 6)
         np.testing.assert_allclose(scaled_l, base_l, atol=1e-12)
         np.testing.assert_allclose(scaled_r, base_r, atol=1e-12)
 
@@ -305,6 +320,13 @@ class TestCsvIO:
         path = tmp_path / "s.csv"
         path.write_text("date,impressions,clicks\n2024-01-01,100,5\nnot-a-date,100,5\n")
         with pytest.raises(CsvFormatError) as err:
+            read_series_csv(path)
+        assert err.value.line_number == 3
+
+    def test_wrong_field_count_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("date,impressions,clicks\n2024-01-01,100,5\n2024-01-02,100,5,1.5\n")
+        with pytest.raises(CsvFormatError, match=r"^line 3: expected 3 fields, got 4$") as err:
             read_series_csv(path)
         assert err.value.line_number == 3
 
