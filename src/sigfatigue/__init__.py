@@ -28,7 +28,6 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     PatternSpecError,
-    ShapeError,
     SigFatigueError,
 )
 from .evaluation import (
@@ -40,17 +39,7 @@ from .evaluation import (
     score,
     sensitivity_report,
 )
-from .sigcore import (
-    TensorSeq,
-    batch_signature,
-    chen_concat,
-    flatten,
-    log_signature,
-    path_signature,
-    segment_signature,
-    sig_distance,
-    tensor_exp,
-)
+from .sigcore import batch_signature
 from .synth import (
     PATTERN_KINDS,
     GeneratedSeries,

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import ols_slope_test
-from .errors import DegenerateInputError, InsufficientDataError, InvalidInputError
+from .errors import DegenerateInputError, InsufficientDataError, InvalidInputError, is_integer
 from .windowing import TimeSeries
 
 __all__ = ["ma_crossover", "cusum", "rolling_regression"]
@@ -29,9 +29,10 @@ def ma_crossover(series: TimeSeries, short_window: int = 7, long_window: int = 2
     from at-or-above the long average to strictly below it.  Averages
     are trailing and counted in observations.
     """
-    if short_window < 1 or short_window >= long_window:
+    if not (is_integer(short_window) and is_integer(long_window)
+            and 1 <= short_window < long_window):
         raise InvalidInputError(
-            f"need 1 <= short_window < long_window, got {short_window}, {long_window}"
+            f"need integers 1 <= short_window < long_window, got {short_window!r}, {long_window!r}"
         )
     n = len(series)
     if n < long_window + 1:
@@ -58,9 +59,9 @@ def cusum(series: TimeSeries, reference_k: float = 0.5, decision_h: float = 5.0)
     recursions accumulate standardized drift beyond ``reference_k`` and
     flag (then reset) when either side exceeds ``decision_h``.
     """
-    if not 0 < decision_h < np.inf:
+    if isinstance(decision_h, bool) or not 0 < decision_h < np.inf:
         raise InvalidInputError(f"decision_h must be finite and > 0, got {decision_h}")
-    if not 0 <= reference_k < np.inf:
+    if isinstance(reference_k, bool) or not 0 <= reference_k < np.inf:
         raise InvalidInputError(f"reference_k must be finite and >= 0, got {reference_k}")
     n = len(series)
     if n < 10:
@@ -93,8 +94,8 @@ def rolling_regression(series: TimeSeries, window: int = 7, alpha: float = 0.05)
     a window's slope becomes significantly negative (p < alpha) after a
     window that was not.
     """
-    if window < 3:
-        raise InvalidInputError(f"window must be >= 3, got {window}")
+    if not (is_integer(window) and window >= 3):
+        raise InvalidInputError(f"window must be an integer >= 3, got {window!r}")
     if not 0 < alpha < 1:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
     if len(series) < window:

@@ -16,10 +16,6 @@ class InvalidInputError(SigFatigueError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class ShapeError(InvalidInputError):
-    """Tensor operands have mismatched dimension or truncation depth."""
-
-
 class InsufficientDataError(SigFatigueError, ValueError):
     """A series or window is too short for the requested operation."""
 

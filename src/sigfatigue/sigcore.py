@@ -19,39 +19,23 @@ Levels are stored dense and flattened: level k is a vector of length
 d^k whose entries are ordered lexicographically by multi-index
 (i1, ..., ik), each i in {1..d}.  This is the C-order raveling of the
 corresponding k-tensor, so flattened tensor products are plain outer
-products.  All values are immutable; every function is pure.
+products.  Every function is pure.
 
-``batch_signature`` is the hot path: a Chen fold (and truncated log)
-that walks the segments in order, each step vectorised over a whole
-block of paths, with blocks sized by ``BLOCK_BYTES``; its rows do not
-depend on the split.  ``path_signature`` and
-``log_signature`` run it on a batch of one; ``TensorSeq``,
-``segment_signature``, ``chen_concat`` and ``tensor_exp`` are the
-readable specification it is tested against.
+``batch_signature`` is the kernel: a Chen fold (and truncated log) that
+walks the segments in order, each step vectorised over a whole block of
+paths, with blocks sized by ``BLOCK_BYTES``; its rows do not depend on
+the split.  The readable specification it is tested against -- the
+``TensorSeq`` algebra of segment exponentials, Chen products and tensor
+log/exp -- lives with the test oracles in ``tests/oracle_utils.py``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, ShapeError, is_integer
+from .errors import InvalidInputError, is_integer
 
-__all__ = [
-    "TensorSeq",
-    "identity",
-    "segment_signature",
-    "chen_concat",
-    "path_signature",
-    "log_signature",
-    "batch_signature",
-    "tensor_exp",
-    "flatten",
-    "flat_length",
-    "sig_distance",
-]
+__all__ = ["batch_signature", "flat_length"]
 
 # Bytes of one kernel block, budgeted as d**depth + d*(n-1) floats a path:
 # its running top level and its increments.  Peak memory is a fixed
@@ -71,110 +55,9 @@ BLOCK_BYTES = 1024 * 1024
 np.empty(8 * BLOCK_BYTES, dtype=np.uint8)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TensorSeq:
-    """Truncated element of the tensor algebra over R^dim.
-
-    ``levels[k-1]`` holds the level-k coefficients as a flat vector of
-    length ``dim ** k``.  ``level0`` is 1.0 for group-like elements
-    (signatures) and 0.0 for Lie elements (log-signatures).
-    """
-
-    dim: int
-    depth: int
-    level0: float
-    levels: tuple = field(default=())
-
-    def __post_init__(self):
-        if self.dim < 1 or self.depth < 1:
-            raise InvalidInputError(
-                f"dim and depth must be >= 1, got dim={self.dim} depth={self.depth}"
-            )
-        if len(self.levels) != self.depth:
-            raise ShapeError(
-                f"expected {self.depth} levels, got {len(self.levels)}"
-            )
-        frozen = []
-        for k, lev in enumerate(self.levels, start=1):
-            arr = np.asarray(lev, dtype=float)
-            if arr.shape != (self.dim**k,):
-                raise ShapeError(
-                    f"level {k} must have {self.dim ** k} entries, got shape {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"level {k} contains non-finite values")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "levels", tuple(frozen))
-        if not math.isfinite(self.level0):
-            raise InvalidInputError("level0 must be finite")
-
-    def __repr__(self):
-        return f"TensorSeq(dim={self.dim}, depth={self.depth}, level0={self.level0})"
-
-    def level(self, k: int) -> np.ndarray:
-        """Level-k coefficient vector (k in 1..depth)."""
-        return self.levels[k - 1]
-
-
-def identity(dim: int, depth: int) -> TensorSeq:
-    """Multiplicative identity of the truncated tensor algebra."""
-    return TensorSeq(
-        dim=dim,
-        depth=depth,
-        level0=1.0,
-        levels=tuple(np.zeros(dim**k) for k in range(1, depth + 1)),
-    )
-
-
-def _check_compatible(a: TensorSeq, b: TensorSeq) -> None:
-    if a.dim != b.dim or a.depth != b.depth:
-        raise ShapeError(
-            f"incompatible operands: dim {a.dim} vs {b.dim}, depth {a.depth} vs {b.depth}"
-        )
-
-
-def _product(a: TensorSeq, b: TensorSeq) -> TensorSeq:
-    """Truncated tensor-algebra product of two elements."""
-    out = []
-    for k in range(1, a.depth + 1):
-        acc = a.level0 * b.levels[k - 1] + b.level0 * a.levels[k - 1]
-        for i in range(1, k):
-            acc = acc + np.multiply.outer(a.levels[i - 1], b.levels[k - i - 1]).ravel()
-        out.append(acc)
-    return TensorSeq(dim=a.dim, depth=a.depth, level0=a.level0 * b.level0, levels=tuple(out))
-
-
 def _check_depth(depth) -> None:
     if not is_integer(depth) or depth < 1:
         raise InvalidInputError(f"depth must be an integer >= 1, got {depth!r}")
-
-
-def segment_signature(delta, depth: int) -> TensorSeq:
-    """Signature of one linear segment: the tensor exponential of its increment.
-
-    Level k equals delta^{tensor k} / k!.
-    """
-    _check_depth(depth)
-    vec = np.asarray(delta, dtype=float)
-    if vec.ndim != 1 or vec.size < 1:
-        raise InvalidInputError("delta must be a 1-D displacement vector")
-    if not np.all(np.isfinite(vec)):
-        raise InvalidInputError("delta must be finite")
-    levels = []
-    power = vec.copy()
-    levels.append(power)
-    for k in range(2, depth + 1):
-        power = np.multiply.outer(power, vec).ravel() / k
-        levels.append(power)
-    return TensorSeq(dim=vec.size, depth=depth, level0=1.0, levels=tuple(levels))
-
-
-def chen_concat(a: TensorSeq, b: TensorSeq) -> TensorSeq:
-    """Signature of a concatenated path: the truncated tensor product."""
-    _check_compatible(a, b)
-    return _product(a, b)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,10 +149,11 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
 
     ``paths`` is a (B, n, d) array of B paths with n >= 2 vertices each
     and d >= 1.
-    Returns a (B, flat_length(d, depth)) array whose row b equals
-    ``flatten(path_signature(paths[b], depth))``, or with ``log`` its
-    ``log_signature``, bit for bit.  Blocks hold ``_block_paths(n, d,
-    depth)`` paths, so peak memory is fixed whatever B, depth and n are.
+    Returns a (B, flat_length(d, depth)) array whose row b holds levels
+    1..depth of the signature of ``paths[b]`` in level order, or with
+    ``log`` those of its truncated tensor logarithm.  Blocks hold
+    ``_block_paths(n, d, depth)`` paths, so peak memory is fixed
+    whatever B, depth and n are.
     Every float operation is elementwise over the batch, so rows are the
     same however B splits.
     """
@@ -291,69 +175,6 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     return out
 
 
-def path_signature(path, depth: int) -> TensorSeq:
-    """Exact truncated signature of a piecewise-linear path.
-
-    Equivalent to folding ``segment_signature`` over the consecutive
-    vertex increments with ``chen_concat``; computed by
-    ``batch_signature`` on a batch of one.  ``path`` is an (n, d) vertex
-    array.
-    """
-    pts = np.asarray(path, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 1:
-        raise InvalidInputError("path must be an (n, d) array of vertices")
-    if pts.shape[0] < 2:
-        raise InsufficientDataError(
-            f"path needs at least 2 points, got {pts.shape[0]}"
-        )
-    row = batch_signature(pts[None], depth)[0]
-    dim = pts.shape[1]
-    ends = np.cumsum([dim**k for k in range(1, depth)], dtype=int)
-    return TensorSeq(dim=dim, depth=depth, level0=1.0, levels=tuple(np.split(row, ends)))
-
-
-def log_signature(sig: TensorSeq) -> TensorSeq:
-    """Truncated tensor logarithm of a group-like element.
-
-    With x = sig - 1 (which has no scalar part), returns
-    sum_{n>=1} (-1)^{n+1} x^{tensor n} / n, truncated at sig.depth.
-    """
-    if sig.level0 != 1.0:
-        raise InvalidInputError(
-            f"log requires a group-like element with level0 == 1, got {sig.level0}"
-        )
-    levels = _log_levels([lev[:, None] for lev in sig.levels])
-    return TensorSeq(
-        dim=sig.dim, depth=sig.depth, level0=0.0, levels=tuple(lev[:, 0] for lev in levels)
-    )
-
-
-def tensor_exp(lie: TensorSeq) -> TensorSeq:
-    """Truncated tensor exponential of an element with no scalar part."""
-    if lie.level0 != 0.0:
-        raise InvalidInputError(
-            f"exp requires a Lie element with level0 == 0, got {lie.level0}"
-        )
-    acc = [np.zeros(lie.dim**k) for k in range(1, lie.depth + 1)]
-    power = identity(lie.dim, lie.depth)
-    for n in range(1, lie.depth + 1):
-        power = _product(power, lie)
-        for k in range(lie.depth):
-            acc[k] = acc[k] + power.levels[k] / math.factorial(n)
-    return TensorSeq(dim=lie.dim, depth=lie.depth, level0=1.0, levels=tuple(acc))
-
-
 def flat_length(dim: int, depth: int) -> int:
     """Length of the flattened level-1..depth coefficient vector."""
     return sum(dim**k for k in range(1, depth + 1))
-
-
-def flatten(sig: TensorSeq) -> np.ndarray:
-    """Levels 1..depth concatenated in level order (level 0 excluded)."""
-    return np.concatenate(sig.levels)
-
-
-def sig_distance(a: TensorSeq, b: TensorSeq) -> float:
-    """Euclidean distance between flattened coefficient vectors."""
-    _check_compatible(a, b)
-    return float(np.linalg.norm(flatten(a) - flatten(b)))

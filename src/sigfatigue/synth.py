@@ -124,8 +124,9 @@ class PatternSpec:
             return v
         # the range rules below compare these fields, so their types come first
         for name in (*RANGES, "impressions_mean", "gap_fraction", "min_observations"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                v.append(f"{name} must be a real number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                v.append(f"{name} must be a real number, got {value!r}")
         if not isinstance(self.start_date, dt.date):
             v.append(f"start_date must be a date, got {self.start_date!r}")
         if v:

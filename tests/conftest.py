@@ -70,7 +70,7 @@ def lownoise_sharp_corpus():
 
 
 def assert_tensorseq_close(a, b, atol=1e-12):
-    from sigfatigue.sigcore import flatten
+    from oracle_utils import flatten
 
     assert a.dim == b.dim and a.depth == b.depth
     np.testing.assert_allclose(flatten(a), flatten(b), rtol=0, atol=atol)

@@ -18,20 +18,21 @@ import pytest
 from sigfatigue.cli import main as cli_main
 from sigfatigue.detector import DetectorConfig, detect, distance_series
 from sigfatigue.evaluation import MatchPolicy, evaluate_corpus, make_method
-from sigfatigue.sigcore import (
-    chen_concat,
-    flat_length,
-    flatten,
-    log_signature,
-    path_signature,
-    tensor_exp,
-)
+from sigfatigue.sigcore import flat_length
 from sigfatigue.synth import PatternSpec, generate
 from sigfatigue.wastage import compute_wastage
 from sigfatigue.windowing import TimeSeries
 
 from conftest import START, daily_dates, series_from_ctr, sharp_drop_ctrs
-from oracle_utils import lost_clicks, riemann_signature_levels
+from oracle_utils import (
+    chen_concat,
+    flatten,
+    log_signature,
+    lost_clicks,
+    path_signature,
+    riemann_signature_levels,
+    tensor_exp,
+)
 
 RAW_FLAGS = dict(window=14, depth=3, threshold_k=1.5, merge_gap=0)
 

@@ -46,6 +46,19 @@ class TestMaCrossover:
         with pytest.raises(InsufficientDataError):
             ma_crossover(series_from_ctr([0.02] * 28), 7, 28)
 
+    @pytest.mark.parametrize(
+        "windows",
+        [{"short_window": 2.5}, {"short_window": True}, {"short_window": 7.0},
+         {"long_window": 28.0}, {"long_window": "28"}],
+    )
+    def test_windows_must_be_integers(self, windows):
+        with pytest.raises(InvalidInputError, match="need integers"):
+            ma_crossover(series_from_ctr([0.02] * 60), **windows)
+
+    def test_numpy_integer_windows_accepted(self):
+        series = series_from_ctr(sharp_drop_ctrs())
+        assert ma_crossover(series, np.int64(7), np.int64(28)) == ma_crossover(series, 7, 28)
+
 
 class TestCusum:
     def test_constant_series_no_flags(self):
@@ -94,6 +107,13 @@ class TestCusum:
         with pytest.raises(InvalidInputError, match=param):
             cusum(series, **{param: value})
 
+    @pytest.mark.parametrize("param", ["reference_k", "decision_h"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_parameter_rejected(self, param, value):
+        series = series_from_ctr([0.02] * 15 + [0.01] * 15)
+        with pytest.raises(InvalidInputError, match=param):
+            cusum(series, **{param: value})
+
 
 class TestRollingRegression:
     def test_constant_series_no_flags(self):
@@ -114,6 +134,15 @@ class TestRollingRegression:
     def test_window_minimum(self):
         with pytest.raises(InvalidInputError):
             rolling_regression(series_from_ctr([0.02] * 40), 2)
+
+    @pytest.mark.parametrize("window", [7.5, 7.0, True, "7"])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(InvalidInputError, match="window must be an integer"):
+            rolling_regression(series_from_ctr([0.02] * 40), window)
+
+    def test_numpy_integer_window_accepted(self):
+        series = series_from_ctr(sharp_drop_ctrs())
+        assert rolling_regression(series, np.int64(7)) == rolling_regression(series, 7)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

@@ -12,10 +12,24 @@ from hypothesis import given, settings, strategies as st
 
 import sigfatigue
 from sigfatigue import sigcore as sc
-from sigfatigue.errors import InsufficientDataError, InvalidInputError, ShapeError
+from sigfatigue.errors import InsufficientDataError, InvalidInputError
 
 from conftest import assert_tensorseq_close
-from oracle_utils import cumsum_signature_levels, riemann_signature_levels
+from oracle_utils import (
+    ShapeError,
+    TensorSeq,
+    chen_concat,
+    chen_fold,
+    cumsum_signature_levels,
+    flatten,
+    identity,
+    log_signature,
+    path_signature,
+    riemann_signature_levels,
+    segment_signature,
+    sig_distance,
+    tensor_exp,
+)
 
 
 def random_path(rng, n=20, d=2):
@@ -24,24 +38,24 @@ def random_path(rng, n=20, d=2):
 
 class TestSegmentSignature:
     def test_unit_x_increment(self):
-        sig = sc.segment_signature((1.0, 0.0), 2)
+        sig = segment_signature((1.0, 0.0), 2)
         np.testing.assert_array_equal(sig.level(1), [1.0, 0.0])
         np.testing.assert_array_equal(sig.level(2), [0.5, 0.0, 0.0, 0.0])
 
     def test_zero_increment_is_identity(self):
-        sig = sc.segment_signature((0.0, 0.0), 3)
+        sig = segment_signature((0.0, 0.0), 3)
         assert sig.level0 == 1.0
         for k in (1, 2, 3):
             assert np.all(sig.level(k) == 0.0)
 
     def test_diagonal_increment(self):
-        sig = sc.segment_signature((1.0, 1.0), 2)
+        sig = segment_signature((1.0, 1.0), 2)
         np.testing.assert_array_equal(sig.level(1), [1.0, 1.0])
         np.testing.assert_array_equal(sig.level(2), [0.5, 0.5, 0.5, 0.5])
 
     def test_level_k_is_scaled_tensor_power(self):
         delta = np.array([0.3, -0.7])
-        sig = sc.segment_signature(delta, 3)
+        sig = segment_signature(delta, 3)
         expected2 = np.multiply.outer(delta, delta).ravel() / 2
         expected3 = np.multiply.outer(np.multiply.outer(delta, delta), delta).ravel() / 6
         np.testing.assert_allclose(sig.level(2), expected2, atol=1e-15)
@@ -49,59 +63,59 @@ class TestSegmentSignature:
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            sc.segment_signature((np.nan, 0.0), 2)
+            segment_signature((np.nan, 0.0), 2)
         with pytest.raises(InvalidInputError):
-            sc.segment_signature((np.inf, 1.0), 2)
+            segment_signature((np.inf, 1.0), 2)
 
     def test_rejects_bad_depth(self):
         with pytest.raises(InvalidInputError):
-            sc.segment_signature((1.0, 0.0), 0)
+            segment_signature((1.0, 0.0), 0)
 
     def test_rejects_delta_that_is_not_a_vector(self):
         with pytest.raises(InvalidInputError, match="1-D"):
-            sc.segment_signature([[1.0, 0.0]], 2)
+            segment_signature([[1.0, 0.0]], 2)
 
 
 class TestChenConcat:
     def test_identity_element(self):
-        sig = sc.segment_signature((0.4, 0.2), 3)
-        assert_tensorseq_close(sc.chen_concat(sig, sc.identity(2, 3)), sig)
-        assert_tensorseq_close(sc.chen_concat(sc.identity(2, 3), sig), sig)
+        sig = segment_signature((0.4, 0.2), 3)
+        assert_tensorseq_close(chen_concat(sig, identity(2, 3)), sig)
+        assert_tensorseq_close(chen_concat(identity(2, 3), sig), sig)
 
     def test_straight_line_split_at_midpoint(self):
-        half = sc.segment_signature((0.5, 0.5), 3)
-        whole = sc.segment_signature((1.0, 1.0), 3)
-        assert_tensorseq_close(sc.chen_concat(half, half), whole)
+        half = segment_signature((0.5, 0.5), 3)
+        whole = segment_signature((1.0, 1.0), 3)
+        assert_tensorseq_close(chen_concat(half, half), whole)
 
     def test_hand_expanded_product(self):
-        a = sc.segment_signature((1.0, 0.0), 2)
-        b = sc.segment_signature((0.0, 1.0), 2)
-        out = sc.chen_concat(a, b)
+        a = segment_signature((1.0, 0.0), 2)
+        b = segment_signature((0.0, 1.0), 2)
+        out = chen_concat(a, b)
         np.testing.assert_array_equal(out.level(1), [1.0, 1.0])
         # lexicographic level 2: (1,1), (1,2), (2,1), (2,2)
         np.testing.assert_array_equal(out.level(2), [0.5, 1.0, 0.0, 0.5])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sc.chen_concat(sc.identity(2, 2), sc.identity(2, 3))
+            chen_concat(identity(2, 2), identity(2, 3))
         with pytest.raises(ShapeError):
-            sc.chen_concat(sc.identity(2, 2), sc.identity(3, 2))
+            chen_concat(identity(2, 2), identity(3, 2))
 
 
 class TestPathSignature:
     def test_single_segment_matches_exponential(self):
-        sig = sc.path_signature([(0.0, 0.0), (1.0, 1.0)], 3)
-        assert_tensorseq_close(sig, sc.segment_signature((1.0, 1.0), 3))
+        sig = path_signature([(0.0, 0.0), (1.0, 1.0)], 3)
+        assert_tensorseq_close(sig, segment_signature((1.0, 1.0), 3))
 
     def test_l_path_levy_area(self):
-        sig = sc.path_signature([(0, 0), (1, 0), (1, 1)], 2)
+        sig = path_signature([(0, 0), (1, 0), (1, 1)], 2)
         levy = (sig.level(2)[1] - sig.level(2)[2]) / 2
         assert levy == 0.5
 
     def test_matches_riemann_oracle(self):
         rng = np.random.default_rng(7)
         pts = random_path(rng)
-        sig = sc.path_signature(pts, 3)
+        sig = path_signature(pts, 3)
         oracle = riemann_signature_levels(pts, 3, substeps=10_000)
         for k in (1, 2, 3):
             np.testing.assert_allclose(
@@ -110,38 +124,38 @@ class TestPathSignature:
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
-            sc.path_signature([(0.0, 0.0)], 2)
+            path_signature([(0.0, 0.0)], 2)
 
     def test_rejects_path_that_is_not_2d(self):
         with pytest.raises(InvalidInputError, match="path must be"):
-            sc.path_signature([0.0, 1.0, 2.0], 2)
+            path_signature([0.0, 1.0, 2.0], 2)
 
     def test_rejects_non_finite_vertices(self):
         with pytest.raises(InvalidInputError):
-            sc.path_signature([(0.0, 0.0), (np.nan, 1.0)], 2)
+            path_signature([(0.0, 0.0), (np.nan, 1.0)], 2)
 
     def test_chen_identity_random_splits(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             pts = random_path(rng, n=rng.integers(4, 30))
             cut = int(rng.integers(1, len(pts) - 1))
-            whole = sc.path_signature(pts, 3)
-            joined = sc.chen_concat(
-                sc.path_signature(pts[: cut + 1], 3),
-                sc.path_signature(pts[cut:], 3),
+            whole = path_signature(pts, 3)
+            joined = chen_concat(
+                path_signature(pts[: cut + 1], 3),
+                path_signature(pts[cut:], 3),
             )
             assert_tensorseq_close(joined, whole, atol=1e-12)
 
     def test_level1_is_total_displacement(self):
         rng = np.random.default_rng(3)
         pts = random_path(rng, n=17)
-        sig = sc.path_signature(pts, 2)
+        sig = path_signature(pts, 2)
         np.testing.assert_allclose(sig.level(1), pts[-1] - pts[0], atol=1e-14)
 
     def test_works_in_three_dimensions(self):
         rng = np.random.default_rng(5)
         pts = rng.random((10, 3))
-        sig = sc.path_signature(pts, 2)
+        sig = path_signature(pts, 2)
         assert sig.dim == 3
         assert sig.level(2).shape == (9,)
         np.testing.assert_allclose(sig.level(1), pts[-1] - pts[0], atol=1e-14)
@@ -149,46 +163,39 @@ class TestPathSignature:
 
 class TestLogSignature:
     def test_log_of_one_segment_exponential(self):
-        lsig = sc.log_signature(sc.segment_signature((2.0, 3.0), 3))
+        lsig = log_signature(segment_signature((2.0, 3.0), 3))
         np.testing.assert_allclose(lsig.level(1), [2.0, 3.0], atol=1e-12)
         assert np.abs(lsig.level(2)).max() < 1e-12
         assert np.abs(lsig.level(3)).max() < 1e-12
         assert lsig.level0 == 0.0
 
     def test_l_path_bch_to_depth_two(self):
-        lsig = sc.log_signature(sc.path_signature([(0, 0), (1, 0), (1, 1)], 2))
+        lsig = log_signature(path_signature([(0, 0), (1, 0), (1, 1)], 2))
         np.testing.assert_array_equal(lsig.level(1), [1.0, 1.0])
         np.testing.assert_array_equal(lsig.level(2), [0.0, 0.5, -0.5, 0.0])
 
     def test_exp_log_roundtrip(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            sig = sc.path_signature(random_path(rng, n=12), 3)
-            back = sc.tensor_exp(sc.log_signature(sig))
+            sig = path_signature(random_path(rng, n=12), 3)
+            back = tensor_exp(log_signature(sig))
             assert_tensorseq_close(back, sig, atol=1e-12)
 
     def test_level2_antisymmetry(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
-            lsig = sc.log_signature(sc.path_signature(random_path(rng), 3))
+            lsig = log_signature(path_signature(random_path(rng), 3))
             lvl2 = lsig.level(2).reshape(2, 2)
             np.testing.assert_allclose(lvl2, -lvl2.T, atol=1e-12)
 
     def test_requires_group_like(self):
-        lie = sc.log_signature(sc.segment_signature((1.0, 2.0), 2))
+        lie = log_signature(segment_signature((1.0, 2.0), 2))
         with pytest.raises(InvalidInputError):
-            sc.log_signature(lie)
+            log_signature(lie)
 
     def test_exp_requires_lie(self):
         with pytest.raises(InvalidInputError):
-            sc.tensor_exp(sc.segment_signature((1.0, 0.0), 2))
-
-
-def chen_fold(pts, depth):
-    sig = sc.identity(pts.shape[1], depth)
-    for a, b in zip(pts[:-1], pts[1:]):
-        sig = sc.chen_concat(sig, sc.segment_signature(b - a, depth))
-    return sig
+            tensor_exp(segment_signature((1.0, 0.0), 2))
 
 
 def path_bytes(n, dim, depth):
@@ -219,7 +226,7 @@ class TestBatchSignature:
         assert rows.shape == (5, sc.flat_length(dim, depth))
         for row, pts in zip(rows, paths):
             sig = chen_fold(pts, depth)
-            expected = sc.flatten(sc.log_signature(sig) if log else sig)
+            expected = flatten(log_signature(sig) if log else sig)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("log", [False, True])
@@ -311,7 +318,7 @@ class TestBatchSignature:
         with pytest.raises(InvalidInputError, match="depth must be an integer"):
             sc.batch_signature(np.zeros((2, 3, 2)), depth)
         with pytest.raises(InvalidInputError, match="depth must be an integer"):
-            sc.segment_signature(np.ones(2), depth)
+            segment_signature(np.ones(2), depth)
 
     def test_numpy_integer_depth_accepted(self):
         paths = np.random.default_rng(8).random((3, 5, 2))
@@ -337,30 +344,30 @@ class TestFlattenAndDistance:
     @pytest.mark.parametrize("depth,expected", [(1, 2), (2, 6), (3, 14)])
     def test_flat_length(self, depth, expected):
         assert sc.flat_length(2, depth) == expected
-        sig = sc.segment_signature((0.2, 0.9), depth)
-        assert sc.flatten(sig).shape == (expected,)
+        sig = segment_signature((0.2, 0.9), depth)
+        assert flatten(sig).shape == (expected,)
 
     def test_flatten_order(self):
-        sig = sc.segment_signature((1.0, 0.0), 2)
-        np.testing.assert_array_equal(sc.flatten(sig), [1, 0, 0.5, 0, 0, 0])
+        sig = segment_signature((1.0, 0.0), 2)
+        np.testing.assert_array_equal(flatten(sig), [1, 0, 0.5, 0, 0, 0])
 
     def test_distance_to_self_is_zero(self):
-        sig = sc.path_signature([(0, 0), (0.3, 0.8), (1, 0.1)], 3)
-        assert sc.sig_distance(sig, sig) == 0.0
+        sig = path_signature([(0, 0), (0.3, 0.8), (1, 0.1)], 3)
+        assert sig_distance(sig, sig) == 0.0
 
     def test_level1_distance(self):
-        a = sc.segment_signature((1.0, 0.0), 1)
-        b = sc.segment_signature((0.0, 1.0), 1)
-        assert sc.sig_distance(a, b) == pytest.approx(math.sqrt(2), rel=1e-15)
+        a = segment_signature((1.0, 0.0), 1)
+        b = segment_signature((0.0, 1.0), 1)
+        assert sig_distance(a, b) == pytest.approx(math.sqrt(2), rel=1e-15)
 
     def test_rising_vs_falling_box_paths(self):
-        rising = sc.path_signature([(0, 0), (0.5, 1), (1, 0.2)], 3)
-        falling = sc.path_signature([(0, 1), (0.5, 0), (1, 0.8)], 3)
-        assert sc.sig_distance(rising, falling) > 0.0
+        rising = path_signature([(0, 0), (0.5, 1), (1, 0.2)], 3)
+        falling = path_signature([(0, 1), (0.5, 0), (1, 0.8)], 3)
+        assert sig_distance(rising, falling) > 0.0
 
     def test_distance_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sc.sig_distance(sc.identity(2, 2), sc.identity(2, 3))
+            sig_distance(identity(2, 2), identity(2, 3))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -378,12 +385,12 @@ class TestFlattenAndDistance:
 def test_chen_identity_property(points, cut_seed):
     pts = np.array(points, dtype=float)
     cut = 1 + cut_seed % (len(pts) - 2)
-    whole = sc.path_signature(pts, 3)
-    joined = sc.chen_concat(
-        sc.path_signature(pts[: cut + 1], 3), sc.path_signature(pts[cut:], 3)
+    whole = path_signature(pts, 3)
+    joined = chen_concat(
+        path_signature(pts[: cut + 1], 3), path_signature(pts[cut:], 3)
     )
     np.testing.assert_allclose(
-        sc.flatten(joined), sc.flatten(whole), rtol=0, atol=1e-12
+        flatten(joined), flatten(whole), rtol=0, atol=1e-12
     )
 
 
@@ -399,46 +406,64 @@ def test_chen_identity_property(points, cut_seed):
     )
 )
 def test_exp_log_roundtrip_property(points):
-    sig = sc.path_signature(np.array(points, dtype=float), 3)
-    back = sc.tensor_exp(sc.log_signature(sig))
-    np.testing.assert_allclose(sc.flatten(back), sc.flatten(sig), rtol=0, atol=1e-12)
+    sig = path_signature(np.array(points, dtype=float), 3)
+    back = tensor_exp(log_signature(sig))
+    np.testing.assert_allclose(flatten(back), flatten(sig), rtol=0, atol=1e-12)
 
 
 def test_noise_perturbation_distance_grows_with_variance():
     rng = np.random.default_rng(15)
     base = np.column_stack([np.linspace(0, 1, 30), 0.5 + 0.2 * np.sin(np.linspace(0, 6, 30))])
-    ref = sc.path_signature(base, 3)
+    ref = path_signature(base, 3)
     mean_sq = []
     for sigma in (0.01, 0.05, 0.1):
         acc = 0.0
         for _ in range(100):
             noisy = base.copy()
             noisy[:, 1] += rng.normal(0, sigma, 30)
-            acc += sc.sig_distance(sc.path_signature(noisy, 3), ref) ** 2
+            acc += sig_distance(path_signature(noisy, 3), ref) ** 2
         mean_sq.append(acc / 100)
     assert mean_sq[0] <= mean_sq[1] <= mean_sq[2]
 
 
 def test_tensorseq_validation():
     with pytest.raises(ShapeError):
-        sc.TensorSeq(dim=2, depth=2, level0=1.0, levels=(np.zeros(2),))
+        TensorSeq(dim=2, depth=2, level0=1.0, levels=(np.zeros(2),))
     with pytest.raises(ShapeError):
-        sc.TensorSeq(dim=2, depth=1, level0=1.0, levels=(np.zeros(3),))
+        TensorSeq(dim=2, depth=1, level0=1.0, levels=(np.zeros(3),))
     with pytest.raises(InvalidInputError):
-        sc.TensorSeq(dim=2, depth=1, level0=1.0, levels=(np.array([np.nan, 0.0]),))
+        TensorSeq(dim=2, depth=1, level0=1.0, levels=(np.array([np.nan, 0.0]),))
     for dim, depth in [(0, 1), (2, 0)]:
         with pytest.raises(InvalidInputError, match="dim and depth"):
-            sc.TensorSeq(dim=dim, depth=depth, level0=1.0, levels=())
+            TensorSeq(dim=dim, depth=depth, level0=1.0, levels=())
     with pytest.raises(InvalidInputError, match="level0"):
-        sc.TensorSeq(dim=2, depth=1, level0=math.inf, levels=(np.zeros(2),))
+        TensorSeq(dim=2, depth=1, level0=math.inf, levels=(np.zeros(2),))
 
 
 def test_tensorseq_repr_names_its_shape():
-    sig = sc.segment_signature((1.0, 0.5), 2)
+    sig = segment_signature((1.0, 0.5), 2)
     assert repr(sig) == "TensorSeq(dim=2, depth=2, level0=1.0)"
 
 
 def test_tensorseq_levels_are_immutable():
-    sig = sc.segment_signature((1.0, 0.5), 2)
+    sig = segment_signature((1.0, 0.5), 2)
     with pytest.raises(ValueError):
         sig.level(1)[0] = 99.0
+
+
+def test_package_ships_only_the_kernel():
+    # the TensorSeq algebra is the spec in the test oracles, not package API
+    assert sc.__all__ == ["batch_signature", "flat_length"]
+    moved = [
+        "TensorSeq", "identity", "segment_signature", "chen_concat", "path_signature",
+        "log_signature", "tensor_exp", "flatten", "sig_distance", "ShapeError",
+    ]
+    for module in (sigfatigue, sc, sigfatigue.errors):
+        assert [name for name in moved if hasattr(module, name)] == [], module.__name__
+    code = "import sys, sigfatigue; print(sorted(m for m in sys.modules if 'oracle_utils' in m))"
+    src = str(Path(sigfatigue.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -137,6 +137,9 @@ class TestValidation:
             ("gap_fraction", "0.3"),
             ("min_observations", None),
             ("start_date", "2024-01-01"),
+            ("noise_cv", False),
+            ("gap_fraction", False),
+            ("baseline_ctr", True),
         ],
     )
     def test_wrong_typed_field_is_a_violation(self, name, value):
