@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .detector import ols_slope_test
-from .errors import DegenerateInputError, InsufficientDataError, InvalidInputError, is_integer
+from .errors import DegenerateInputError, InsufficientDataError, check_number
 from .windowing import TimeSeries
 
 __all__ = ["ma_crossover", "cusum", "rolling_regression"]
@@ -29,11 +29,8 @@ def ma_crossover(series: TimeSeries, short_window: int = 7, long_window: int = 2
     from at-or-above the long average to strictly below it.  Averages
     are trailing and counted in observations.
     """
-    if not (is_integer(short_window) and is_integer(long_window)
-            and 1 <= short_window < long_window):
-        raise InvalidInputError(
-            f"need integers 1 <= short_window < long_window, got {short_window!r}, {long_window!r}"
-        )
+    check_number("long_window", long_window, 2, math.inf, integer=True)
+    check_number("short_window", short_window, 1, long_window, integer=True, open_hi=True)
     n = len(series)
     if n < long_window + 1:
         raise InsufficientDataError(
@@ -59,10 +56,8 @@ def cusum(series: TimeSeries, reference_k: float = 0.5, decision_h: float = 5.0)
     recursions accumulate standardized drift beyond ``reference_k`` and
     flag (then reset) when either side exceeds ``decision_h``.
     """
-    if isinstance(decision_h, bool) or not 0 < decision_h < np.inf:
-        raise InvalidInputError(f"decision_h must be finite and > 0, got {decision_h}")
-    if isinstance(reference_k, bool) or not 0 <= reference_k < np.inf:
-        raise InvalidInputError(f"reference_k must be finite and >= 0, got {reference_k}")
+    check_number("decision_h", decision_h, 0, math.inf, open_lo=True)
+    check_number("reference_k", reference_k, 0, math.inf)
     n = len(series)
     if n < 10:
         raise InsufficientDataError(f"series has {n} observations, need at least 10")
@@ -94,10 +89,8 @@ def rolling_regression(series: TimeSeries, window: int = 7, alpha: float = 0.05)
     a window's slope becomes significantly negative (p < alpha) after a
     window that was not.
     """
-    if not (is_integer(window) and window >= 3):
-        raise InvalidInputError(f"window must be an integer >= 3, got {window!r}")
-    if not 0 < alpha < 1:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    check_number("window", window, 3, math.inf, integer=True)
+    check_number("alpha", alpha, 0, 1, open_lo=True, open_hi=True)
     if len(series) < window:
         return []
     slope, p = ols_slope_test(

@@ -15,11 +15,12 @@ squares slope test.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, is_integer
+from .errors import InvalidInputError, check_number, number_error
 from .sigcore import _block_paths, batch_signature
 from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict, pair_paths
 
@@ -47,7 +48,7 @@ DISTANCE_DTYPE = np.dtype([("date", "datetime64[D]"), ("distance", float)])
 class DetectorConfig:
     """Detection parameters.
 
-    ``window`` is counted in observations and ``depth`` is at most
+    ``window`` is counted in observations and ``depth`` runs from 2 to
     ``MAX_DEPTH``.  ``threshold_k`` scales the flagging threshold
     mean + k * std.  ``merge_gap`` is the maximum day spacing at which
     exceedance flags are absorbed into a single change point; ``None``
@@ -64,20 +65,14 @@ class DetectorConfig:
     feature_mode: str = "full"
 
     def __post_init__(self):
-        for name in ("window", "depth"):
-            if not is_integer(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.window < 2:
-            raise InvalidInputError(f"window must be >= 2, got {self.window}")
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise InvalidInputError(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
-        if isinstance(self.threshold_k, bool) or not 0 < self.threshold_k < np.inf:
-            raise InvalidInputError(f"threshold_k must be finite and > 0, got {self.threshold_k}")
-        if not 0 < self.alpha < 1:
-            raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
-        gap = self.merge_gap
-        if gap is not None and not (is_integer(gap) and gap >= 0):
-            raise InvalidInputError(f"merge_gap must be an integer >= 0 or None, got {gap!r}")
+        check_number("window", self.window, 2, math.inf, integer=True)
+        reason = number_error("depth", self.depth, 2, MAX_DEPTH, integer=True)
+        if reason:  # a depth-1 distance is rounding residue
+            raise InvalidInputError(f"{reason}: level 1 of every window's closed loop is (1, 0)")
+        check_number("threshold_k", self.threshold_k, 0, math.inf, open_lo=True)
+        check_number("alpha", self.alpha, 0, 1, open_lo=True, open_hi=True)
+        if self.merge_gap is not None:
+            check_number("merge_gap", self.merge_gap, 0, math.inf, integer=True)
         if self.feature_mode not in FEATURE_MODES:
             raise InvalidInputError(
                 f"feature_mode must be one of {FEATURE_MODES}, got {self.feature_mode!r}"
@@ -263,6 +258,7 @@ def classify_trend(days, values, alpha: float = 0.05) -> tuple:
     Returns (trend, slope, p_value).  Slopes are in metric units per
     day.  Segments with fewer than 3 points are stable with p = 1.
     """
+    check_number("alpha", alpha, 0, 1, open_lo=True, open_hi=True)
     slope, p_value = ols_slope_test(days, values)
     if p_value < alpha and slope > 0:
         return "improving", slope, p_value

@@ -1,11 +1,37 @@
-"""Exception types shared across the package, and its one integer rule."""
+"""Exception types shared across the package, and its one number rule,
+``number_error``, which checks every numeric parameter but a random seed."""
 
+import math
 import numbers
 
 
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def number_error(name, value, lo, hi, *, integer=False, open_lo=False, open_hi=False):
+    """Why ``value`` is not a valid ``name``, or None when it is.
+
+    A bool is never a number.  With ``integer`` the value must be a Python
+    or numpy integer, else any ``numbers.Real``, between ``lo`` and ``hi``;
+    ``open_lo``/``open_hi`` exclude a bound, and an infinite one is never reached.
+    """
+    open_lo, open_hi = open_lo or lo == -math.inf, open_hi or hi == math.inf
+    number = numbers.Integral if integer else numbers.Real
+    if isinstance(value, number) and not isinstance(value, bool):
+        if (lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi):
+            return None
+    interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    kind = "an integer" if integer else "a real number"
+    return f"{name} must be {kind} in {interval}, got {value!r}"
+
+
+def check_number(name, value, lo, hi, **bounds) -> None:
+    """Raise :class:`InvalidInputError` with ``number_error``'s reason."""
+    reason = number_error(name, value, lo, hi, **bounds)
+    if reason:
+        raise InvalidInputError(reason)
 
 
 class SigFatigueError(Exception):

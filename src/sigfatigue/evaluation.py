@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baselines
 from .detector import DetectorConfig, _pooled_distances, flag_change_points
-from .errors import InvalidInputError, is_integer
+from .errors import InvalidInputError, check_number
 from .windowing import _record_dict
 
 __all__ = [
@@ -57,8 +58,7 @@ DEFAULT_GRID = {"window": (7, 14, 21), "threshold_k": (1.5, 2.0, 2.5), "depth": 
 
 
 def _check_n_boot(n_boot: int) -> None:
-    if not (is_integer(n_boot) and 0 <= n_boot <= MAX_BOOTSTRAP):
-        raise InvalidInputError(f"n_boot must be an integer in [0, {MAX_BOOTSTRAP}], got {n_boot!r}")
+    check_number("n_boot", n_boot, 0, MAX_BOOTSTRAP, integer=True)
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,7 @@ class MatchPolicy:
     tolerance_days: int = 3
 
     def __post_init__(self):
-        if not is_integer(self.tolerance_days) or self.tolerance_days < 0:
-            raise InvalidInputError(
-                f"tolerance_days must be an integer >= 0, got {self.tolerance_days!r}"
-            )
+        check_number("tolerance_days", self.tolerance_days, 0, math.inf, integer=True)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,11 @@ log/exp -- lives with the test oracles in ``tests/oracle_utils.py``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidInputError, is_integer
+from .errors import InvalidInputError, check_number
 
 __all__ = ["batch_signature", "flat_length"]
 
@@ -53,11 +55,6 @@ BLOCK_BYTES = 1024 * 1024
 # threshold each call would fault its temporaries in afresh.  Freeing one
 # 8 * BLOCK_BYTES block here keeps them on the heap.
 np.empty(8 * BLOCK_BYTES, dtype=np.uint8)
-
-
-def _check_depth(depth) -> None:
-    if not is_integer(depth) or depth < 1:
-        raise InvalidInputError(f"depth must be an integer >= 1, got {depth!r}")
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,7 +154,7 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     Every float operation is elementwise over the batch, so rows are the
     same however B splits.
     """
-    _check_depth(depth)
+    check_number("depth", depth, 1, math.inf, integer=True)
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 3 or paths.shape[1] < 2 or paths.shape[2] < 1:
         raise InvalidInputError("paths must be a (B, n>=2, d>=1) array of vertices")

@@ -37,12 +37,12 @@ reproduced exactly.  Generation is a pure function of the spec
 from __future__ import annotations
 
 import datetime as dt
-import numbers
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PatternSpecError, is_integer
+from .errors import PatternSpecError, is_integer, number_error
 from .windowing import TimeSeries, _record_dict
 
 __all__ = [
@@ -67,7 +67,7 @@ PATTERN_KINDS = (
 )
 
 # documented ranges, field -> (lo, hi), in the order generate_batch draws
-# them: uniformly, and as whole numbers where the bounds are ints
+# them uniformly
 RANGES = {
     "baseline_ctr": (0.005, 0.03),
     "weekly_decay_rate": (0.02, 0.08),
@@ -85,6 +85,18 @@ IMPRESSIONS_CV = 0.2
 # impressions are drawn as floats, and a float64 holds every integer only
 # up to 2**53
 MAX_IMPRESSIONS_MEAN = 2**53
+# the fields that hold, and are drawn as, whole numbers
+WHOLE_FIELDS = {"duration_days", "n_stages", "impressions_mean", "seed", "min_observations"}
+# every number field's bounds, field -> (lo, hi, open_hi); noise_cv may be 0,
+# for reproducible noiseless fixtures
+BOUNDS = {
+    **{name: (lo, hi, False) for name, (lo, hi) in RANGES.items()},
+    "noise_cv": (0, RANGES["noise_cv"][1], False),
+    "impressions_mean": (1, MAX_IMPRESSIONS_MEAN, False),
+    "seed": (0, math.inf, False),
+    "gap_fraction": (0, 1, True),
+    "min_observations": (4, math.inf, False),
+}
 
 
 def _days(values) -> tuple:
@@ -121,46 +133,23 @@ class PatternSpec:
         v = []
         if self.kind not in PATTERN_KINDS:
             v.append(f"kind must be one of {PATTERN_KINDS}, got {self.kind!r}")
-            return v
-        # the range rules below compare these fields, so their types come first
-        for name in (*RANGES, "impressions_mean", "gap_fraction", "min_observations"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                v.append(f"{name} must be a real number, got {value!r}")
+        v += filter(None, (
+            number_error(name, getattr(self, name), lo, hi, integer=name in WHOLE_FIELDS, open_hi=o)
+            for name, (lo, hi, o) in BOUNDS.items()
+        ))
         if not isinstance(self.start_date, dt.date):
             v.append(f"start_date must be a date, got {self.start_date!r}")
-        if v:
-            return v
-        for name, (lo, hi) in RANGES.items():
-            value = getattr(self, name)
-            if name == "noise_cv":
-                lo = 0  # 0 is allowed, for reproducible noiseless fixtures
-            if not lo <= value <= hi:
-                v.append(f"{name} {value} outside [{lo}, {hi}]")
-            elif isinstance(hi, int) and not is_integer(value):
-                v.append(f"{name} {value} must be an integer")
-            elif name == "duration_days" and (dt.date.max - self.start_date).days < value - 1:
-                v.append(f"start_date {self.start_date} leaves fewer than {value} days")
-        if not 1 <= self.impressions_mean <= MAX_IMPRESSIONS_MEAN:
-            v.append(f"impressions_mean {self.impressions_mean} outside [1, 2**53]")
-        elif not is_integer(self.impressions_mean):
-            v.append(f"impressions_mean {self.impressions_mean} must be an integer")
-        if not (is_integer(self.seed) and self.seed >= 0):
-            v.append(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0.0 <= self.gap_fraction < 1.0:
-            v.append(f"gap_fraction {self.gap_fraction} outside [0, 1)")
         if self.kind == "non_continuous" and (
             self.base_kind == "non_continuous" or self.base_kind not in PATTERN_KINDS
         ):
             v.append(f"base_kind {self.base_kind!r} must be a non-gapped pattern kind")
-        if not is_integer(self.min_observations):
-            v.append(f"min_observations {self.min_observations} must be an integer")
-        elif self.min_observations < 4:
-            v.append(f"min_observations {self.min_observations} must be >= 4")
-        elif self.kind == "non_continuous" and self.min_observations > self.duration_days:
+        # the rules below relate fields to one another, so they wait for every field
+        if v:
+            return v
+        if (dt.date.max - self.start_date).days < self.duration_days - 1:
+            v.append(f"start_date {self.start_date} leaves fewer than {self.duration_days} days")
+        if self.kind == "non_continuous" and self.min_observations > self.duration_days:
             v.append(f"min_observations {self.min_observations} exceeds {self.duration_days} days")
-        # the change-day count and range follow from the other fields, so
-        # they are checked only once those hold
         if self.change_days is not None and not v:
             expected = len(default_change_days(replace(self, change_days=None)))
             days = self.change_days
@@ -325,7 +314,7 @@ def generate(spec: PatternSpec) -> tuple:
 def _sample_spec(kind: str, rng: np.random.Generator, overrides: dict) -> PatternSpec:
     fields = {"kind": kind}
     for name, (lo, hi) in RANGES.items():
-        whole = isinstance(hi, int)
+        whole = name in WHOLE_FIELDS
         fields[name] = int(rng.integers(lo, hi + 1)) if whole else float(rng.uniform(lo, hi))
     fields["seed"] = int(rng.integers(0, 2**63 - 1))
     return PatternSpec(**{**fields, **overrides})
@@ -343,8 +332,9 @@ def generate_batch(
     ``overrides`` pins chosen spec fields across the whole corpus (for
     example a fixed duration).  Reproducible from ``master_seed``.
     """
-    if n_per_pattern < 1:
-        raise PatternSpecError(["n_per_pattern must be >= 1"])
+    reason = number_error("n_per_pattern", n_per_pattern, 1, math.inf, integer=True)
+    if reason:
+        raise PatternSpecError([reason])
     kinds = [kinds] if isinstance(kinds, str) else list(kinds)
     overrides = dict(overrides or {})
     rng = np.random.default_rng(master_seed)

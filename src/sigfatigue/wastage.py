@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import Segment
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, number_error
 from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict
 
 __all__ = [
@@ -73,8 +73,9 @@ def select_benchmark(segments) -> tuple:
 
 def _benchmark_cpc(series: TimeSeries, bench: slice, user_cpc: float | None) -> float:
     if user_cpc is not None:
-        if not 0 <= user_cpc < math.inf:
-            raise ConfigurationError("cpc must be finite and nonnegative")
+        reason = number_error("cpc", user_cpc, 0, math.inf)
+        if reason:
+            raise ConfigurationError(reason)
         return float(user_cpc)
     costed = series.cost is not None
     total_clicks = int(series.clicks[bench].sum())

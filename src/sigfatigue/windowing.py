@@ -29,11 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    CsvFormatError,
-    InsufficientDataError,
-    InvalidInputError,
-)
+from .errors import CsvFormatError, InsufficientDataError, InvalidInputError, check_number
 
 __all__ = [
     "TimeSeries",
@@ -192,8 +188,7 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     closure keeps each window's level, which the signature's translation
     invariance would drop, in the enclosed-area terms.
     """
-    if window < 2:
-        raise InvalidInputError(f"window must be >= 2, got {window}")
+    check_number("window", window, 2, math.inf, integer=True)
     n = len(series)
     if n < 2 * window:
         raise InsufficientDataError(

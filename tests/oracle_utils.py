@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sigfatigue import sigcore
-from sigfatigue.errors import InsufficientDataError, InvalidInputError
+from sigfatigue.errors import InsufficientDataError, InvalidInputError, check_number
 
 
 def refine_polyline(points, substeps):
@@ -156,7 +156,7 @@ def segment_signature(delta, depth: int) -> TensorSeq:
 
     Level k equals delta^{tensor k} / k!.
     """
-    sigcore._check_depth(depth)
+    check_number("depth", depth, 1, math.inf, integer=True)
     vec = np.asarray(delta, dtype=float)
     if vec.ndim != 1 or vec.size < 1:
         raise InvalidInputError("delta must be a 1-D displacement vector")

@@ -52,7 +52,8 @@ class TestMaCrossover:
          {"long_window": 28.0}, {"long_window": "28"}],
     )
     def test_windows_must_be_integers(self, windows):
-        with pytest.raises(InvalidInputError, match="need integers"):
+        (name,) = windows
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer in "):
             ma_crossover(series_from_ctr([0.02] * 60), **windows)
 
     def test_numpy_integer_windows_accepted(self):
@@ -101,7 +102,7 @@ class TestCusum:
             cusum(series_from_ctr([0.02] * 30), decision_h=0.0)
 
     @pytest.mark.parametrize("param", ["reference_k", "decision_h"])
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1", None])
     def test_non_finite_parameter_rejected(self, param, value):
         series = series_from_ctr([0.02] * 15 + [0.01] * 15)
         with pytest.raises(InvalidInputError, match=param):
@@ -143,6 +144,11 @@ class TestRollingRegression:
     def test_numpy_integer_window_accepted(self):
         series = series_from_ctr(sharp_drop_ctrs())
         assert rolling_regression(series, np.int64(7)) == rolling_regression(series, 7)
+
+    def test_alpha_must_be_a_real_number(self):
+        message = r"^alpha must be a real number in \(0, 1\), got 'x'$"
+        with pytest.raises(InvalidInputError, match=message):
+            rolling_regression(series_from_ctr([0.02] * 40), 7, alpha="x")
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

@@ -509,6 +509,9 @@ BAD_INVOCATIONS = [
     ["sweep", "--corpus", "{infday}"],
     ["evaluate", "--corpus", "{fracday}"],
     ["detect", "{csv}", "--metric", "cpm"],
+    ["detect", "{csv}", "--depth", "1"],
+    ["wastage", "{csv}", "--cpc", "1.0", "--depth", "1"],
+    ["sweep", "--pattern", "sharp_drop", "--n", "1", "--duration", "60", "--depths", "1"],
 ]
 
 

@@ -37,6 +37,8 @@ class TestConfig:
 
     def test_max_depth_accepted(self):
         assert DetectorConfig(depth=detector.MAX_DEPTH).depth == 8
+        # a numpy scalar at a bound is a number like any other
+        assert DetectorConfig(depth=np.int64(2), alpha=np.float64(0.5)).depth == 2
 
     def test_merge_gap_follows_window(self):
         assert DetectorConfig(window=7).effective_merge_gap == 7
@@ -55,6 +57,9 @@ class TestConfig:
             {"merge_gap": -1},
             {"feature_mode": "lyndon"},
             {"threshold_k": True},
+            {"depth": 1},
+            {"threshold_k": "2"},
+            {"alpha": None},
         ],
     )
     def test_validation(self, kwargs):
@@ -142,6 +147,15 @@ def oracle_distances(series, window, depth, feature_mode):
     return out
 
 
+def depth_one_refused(depth, **fields):
+    """Whether ``depth`` is 1, having checked that DetectorConfig refuses it."""
+    if depth == 1:
+        message = r"^depth must be an integer in \[2, 8\], got 1: "
+        with pytest.raises(InvalidInputError, match=message):
+            DetectorConfig(depth=depth, **fields)
+    return depth == 1
+
+
 def walk_series(kind, n=40, seed=0):
     """A random-walk CTR series: on consecutive days, with calendar gaps,
     or with a flat stretch whose pairs are constant."""
@@ -160,6 +174,8 @@ class TestKernelAgainstOracle:
     @pytest.mark.parametrize("window", [2, 7, 14])
     @pytest.mark.parametrize("kind", ["plain", "gapped", "flat"])
     def test_distances_match_per_window_oracle(self, kind, window, depth, feature_mode):
+        if depth_one_refused(depth, window=window, feature_mode=feature_mode):
+            return
         series = walk_series(kind, seed=window * 10 + depth)
         cfg = DetectorConfig(window=window, depth=depth, feature_mode=feature_mode)
         points = distance_series(series, cfg)
@@ -190,8 +206,16 @@ class TestKernelAgainstOracle:
             distance_series(walk_series("plain", n=27), DetectorConfig(window=14))
 
     def test_window_checked_before_length(self):
-        with pytest.raises(InvalidInputError, match=r"^window must be >= 2, got 1$"):
+        message = r"^window must be an integer in \[2, inf\), got 1$"
+        with pytest.raises(InvalidInputError, match=message):
             pair_paths(walk_series("plain", n=1), 1)
+
+    @pytest.mark.parametrize("window", [2, 7, 14])
+    @pytest.mark.parametrize("kind", ["plain", "gapped", "flat"])
+    def test_depth_one_rows_are_one_zero(self, kind, window):
+        # why DetectorConfig refuses depth 1: it sees only this constant
+        rows = sc.batch_signature(pair_paths(walk_series(kind), window)[1], 1)
+        np.testing.assert_allclose(rows, np.tile([1.0, 0.0], (len(rows), 1)), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("feature_mode", ["full", "log"])
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -200,6 +224,8 @@ class TestKernelAgainstOracle:
     def test_distance_is_bit_equal_to_row_norm(
         self, monkeypatch, kind, window, depth, feature_mode
     ):
+        if depth_one_refused(depth, window=window, feature_mode=feature_mode):
+            return
         features = []
 
         def recording(paths, depth, log=False):
@@ -219,6 +245,8 @@ class TestKernelAgainstOracle:
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
     def test_log_distances_bit_equal_with_every_zero_term(self, monkeypatch, depth):
+        if depth_one_refused(depth, window=7, feature_mode="log"):
+            return
         corpus = generate_batch(
             list(PATTERN_KINDS), 2, master_seed=depth, overrides={"duration_days": 60}
         )
@@ -436,6 +464,11 @@ class TestClassifyTrend:
         )
         _, slope, _ = trend_of(series)
         assert slope == pytest.approx(0.001, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, "0.05", True])
+    def test_alpha_must_be_a_real_number_in_the_unit_interval(self, alpha):
+        with pytest.raises(InvalidInputError, match="alpha must be a real number in"):
+            trend_of(series_from_ctr([0.02] * 20), alpha)
 
 
 class TestOlsSlopeTest:

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from sigfatigue.errors import PatternSpecError
 from sigfatigue.synth import (
     DECAY_FLOOR,
     PATTERN_KINDS,
+    RANGES,
     RECOVERY_LEVEL,
     GroundTruth,
     PatternSpec,
@@ -117,12 +119,13 @@ class TestValidation:
         # a multi-stage decline takes n_stages change days, so they are not
         # counted while n_stages is not a whole number in range
         spec = PatternSpec(kind="multi_stage_decline", n_stages=2.5, change_days=(10, 20))
-        assert spec.validate() == ["n_stages 2.5 must be an integer"]
+        assert spec.validate() == ["n_stages must be an integer in [2, 3], got 2.5"]
 
     @pytest.mark.parametrize("name, value", [("duration_days", 100.0), ("n_stages", 2.0)])
     def test_whole_number_fields_reject_floats(self, name, value):
         spec = PatternSpec(kind="multi_stage_decline", **{name: value})
-        assert spec.validate() == [f"{name} {value} must be an integer"]
+        lo, hi = RANGES[name]
+        assert spec.validate() == [f"{name} must be an integer in [{lo}, {hi}], got {value!r}"]
         with pytest.raises(PatternSpecError):
             generate(spec)
 
@@ -145,7 +148,8 @@ class TestValidation:
     def test_wrong_typed_field_is_a_violation(self, name, value):
         spec = PatternSpec(kind="sharp_drop", **{name: value})
         (violation,) = spec.validate()
-        assert violation.startswith(f"{name} must be a ")
+        assert re.match(f"{name} must be (a real number|an integer|a date)\\b", violation)
+        assert violation.endswith(f", got {value!r}")
         with pytest.raises(PatternSpecError, match=name):
             generate(spec)
 
@@ -363,8 +367,9 @@ class TestBatch:
         assert {item.spec.duration_days for item in corpus} == {120}
 
     def test_rejects_zero_count(self):
-        with pytest.raises(PatternSpecError):
-            generate_batch("sharp_drop", 0, master_seed=1)
+        for n in (0, 2.5, "2", True):
+            with pytest.raises(PatternSpecError, match="n_per_pattern must be an integer in"):
+                generate_batch("sharp_drop", n, master_seed=1)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(PatternSpecError, match="mystery"):

@@ -148,6 +148,13 @@ class TestComputeWastage:
         with pytest.raises(InvalidInputError, match="overflows"):
             compute_wastage(series, self.segments(), cpc=cpc)
 
+    def test_cpc_must_be_a_nonnegative_real_number(self):
+        series = self.build()
+        for cpc in ("1", True):
+            with pytest.raises(ConfigurationError, match=r"^cpc must be a real number in \[0, inf"):
+                compute_wastage(series, self.segments(), cpc=cpc)
+        assert compute_wastage(series, self.segments(), cpc=np.float64(0.0)).total_wastage == 0.0
+
     def test_explicit_cpc_required_without_cost(self):
         series = self.build()
         with pytest.raises(ConfigurationError, match="cpc"):

@@ -164,8 +164,11 @@ class TestWindowPairs:
 
     def test_window_below_two(self):
         series = series_from_ctr([0.01] * 30)
-        with pytest.raises(InvalidInputError, match="window must be >= 2"):
+        message = r"^window must be an integer in \[2, inf\), got 1$"
+        with pytest.raises(InvalidInputError, match=message):
             pair_paths(series, 1)
+        with pytest.raises(InvalidInputError, match="window must be an integer"):
+            pair_paths(series, 2.5)
 
     def test_boundary_is_first_date_of_right_window(self):
         dates = [START + dt.timedelta(days=3 * i + i % 3) for i in range(30)]
