@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number, number_error
 from .sigcore import _block_paths, batch_signature
-from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict, pair_paths
+from .windowing import SCHEMA_VERSION, TimeSeries, _record_dict, pair_paths
 
 __all__ = [
     "DetectorConfig",
@@ -51,8 +51,9 @@ class DetectorConfig:
     ``window`` is counted in observations and ``depth`` runs from 2 to
     ``MAX_DEPTH``.  ``threshold_k`` scales the flagging threshold
     mean + k * std.  ``merge_gap`` is the maximum day spacing at which
-    exceedance flags are absorbed into a single change point; ``None``
-    means "same as window", 0 disables merging.
+    exceedance flags are absorbed into a single change point; 0 disables
+    merging, and ``None`` stores ``window``, so the field always holds
+    the gap that is applied.
     ``feature_mode`` selects the full signature vector or its tensor
     logarithm as the feature fed to the distance.
     """
@@ -71,19 +72,13 @@ class DetectorConfig:
             raise InvalidInputError(f"{reason}: level 1 of every window's closed loop is (1, 0)")
         check_number("threshold_k", self.threshold_k, 0, math.inf, open_lo=True)
         check_number("alpha", self.alpha, 0, 1, open_lo=True, open_hi=True)
-        if self.merge_gap is not None:
-            check_number("merge_gap", self.merge_gap, 0, math.inf, integer=True)
+        if self.merge_gap is None:
+            object.__setattr__(self, "merge_gap", self.window)
+        check_number("merge_gap", self.merge_gap, 0, math.inf, integer=True)
         if self.feature_mode not in FEATURE_MODES:
             raise InvalidInputError(
                 f"feature_mode must be one of {FEATURE_MODES}, got {self.feature_mode!r}"
             )
-
-    @property
-    def effective_merge_gap(self) -> int:
-        return self.window if self.merge_gap is None else self.merge_gap
-
-    def to_dict(self) -> dict:
-        return {**_record_dict(self), "merge_gap": self.effective_merge_gap}
 
 
 @dataclass(frozen=True)
@@ -119,14 +114,7 @@ class ChangePointReport:
     segments: tuple
 
     def to_dict(self) -> dict:
-        return {
-            **_record_dict(self),
-            "schema_version": SCHEMA_VERSION,
-            "config": self.config.to_dict(),
-            "distances": _array_dicts(self.distances),
-            "change_points": [_record_dict(c) for c in self.change_points],
-            "segments": [_record_dict(s) for s in self.segments],
-        }
+        return {**_record_dict(self), "schema_version": SCHEMA_VERSION}
 
 
 def distance_series(series: TimeSeries, cfg: DetectorConfig) -> np.ndarray:
@@ -198,7 +186,7 @@ def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
 
     ``distances`` is the array ``distance_series`` returns.  A boundary
     is flagged when its distance exceeds mean + k * std of all
-    distances; flags are merged within ``cfg.effective_merge_gap`` days.
+    distances; flags are merged within ``cfg.merge_gap`` days.
     Returns (mean, std, threshold, change points).
     """
     # a contiguous copy reduces exactly as the array of a fresh list did
@@ -208,7 +196,7 @@ def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
     threshold = mean + cfg.threshold_k * std
     dates = distances["date"]
     flagged = np.flatnonzero(values > threshold)
-    kept = _merge_flags(dates.view(np.int64).tolist(), values, flagged, cfg.effective_merge_gap)
+    kept = _merge_flags(dates.view(np.int64).tolist(), values, flagged, cfg.merge_gap)
     change_points = tuple(
         ChangePoint(date=dates[i].item(), distance=float(values[i]), threshold=threshold)
         for i in kept

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and its one number rule,
-``number_error``, which checks every numeric parameter but a random seed."""
+``number_error``, which checks every numeric parameter, random seeds included."""
 
 import math
 import numbers

@@ -25,6 +25,7 @@ threshold_k and merge_gap of the grid.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -55,10 +56,14 @@ N_BOOT = 100  # bootstrap resamples by default
 CI_LEVEL = 0.95  # of every bootstrap interval
 # the parameter grid sensitivity_report sweeps by default
 DEFAULT_GRID = {"window": (7, 14, 21), "threshold_k": (1.5, 2.0, 2.5), "depth": (3,)}
+# the DetectorConfig fields the signature method reads; scoring never segments,
+# so the trend tests' alpha is not one of them
+SIGNATURE_PARAMS = ("window", "depth", "threshold_k", "merge_gap", "feature_mode")
 
 
-def _check_n_boot(n_boot: int) -> None:
+def _check_bootstrap(n_boot: int, seed: int) -> None:
     check_number("n_boot", n_boot, 0, MAX_BOOTSTRAP, integer=True)
+    check_number("seed", seed, 0, math.inf, integer=True)
 
 
 @dataclass(frozen=True)
@@ -175,15 +180,15 @@ def pool_scores(scores) -> EvalMetrics:
 def bootstrap_ci(scores, n_boot: int = N_BOOT, seed: int = 0) -> dict:
     """Percentile bootstrap over series for each pooled metric, at ``CI_LEVEL``.
 
-    ``n_boot`` is from 0 to ``MAX_BOOTSTRAP``.  All resamples are drawn
-    in one call, which yields the same index stream as one draw per
-    resample, and each is pooled from per-series counts by ``_rates``,
-    the formula ``pool_scores`` uses.
+    ``n_boot`` is from 0 to ``MAX_BOOTSTRAP`` and ``seed`` a nonnegative
+    integer.  All resamples are drawn in one call, which yields the same
+    index stream as one draw per resample, and each is pooled from
+    per-series counts by ``_rates``, the formula ``pool_scores`` uses.
     """
     scores = list(scores)
     if len(scores) < 2:
         raise InvalidInputError("bootstrap needs at least 2 series")
-    _check_n_boot(n_boot)
+    _check_bootstrap(n_boot, seed)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(scores), size=(n_boot, len(scores)))
     counts = np.array(
@@ -234,11 +239,29 @@ METHODS = {
 }
 
 
+def _check_params(name: str, params) -> None:
+    """Refuse a parameter that method ``name`` does not read.
+
+    A baseline reads the keyword parameters of its own signature, which
+    ``inspect.signature`` follows through a wrapper's ``__wrapped__``.
+    """
+    if name == "signature":
+        reads = SIGNATURE_PARAMS
+    else:
+        reads = tuple(inspect.signature(getattr(baselines, name)).parameters)[1:]
+    unread = [param for param in params if param not in reads]
+    if unread:
+        raise InvalidInputError(
+            f"{name} does not read {', '.join(map(repr, unread))}; it reads {', '.join(reads)}"
+        )
+
+
 def make_method(name: str, **params):
     """Corpus callable from the registry: it takes a list of series and
     returns one list of detected dates per series, in order."""
     if name not in METHODS:
         raise InvalidInputError(f"unknown method {name!r}, expected one of {sorted(METHODS)}")
+    _check_params(name, params)
     return METHODS[name](**params)
 
 
@@ -255,7 +278,7 @@ def evaluate_corpus(
     returns, called once with every series of the corpus.  Returns
     (per-series scores, pooled EvalMetrics with bootstrap intervals).
     """
-    _check_n_boot(n_boot)
+    _check_bootstrap(n_boot, seed)
     corpus = list(corpus)
     run = make_method(method) if isinstance(method, str) else method
     detections = list(run([item.series for item in corpus]))
@@ -279,11 +302,12 @@ def sensitivity_report(
 ) -> list:
     """One row of signature-method metrics per parameter-grid cell.
 
-    ``grid`` defaults to ``DEFAULT_GRID``.  Rows follow the cells in
-    lexicographic order of the sorted parameter names.  Each row names
-    its cell (the cell's window, threshold_k and depth, then any other
-    grid parameter in sorted order) and carries pooled metrics plus
-    bootstrap intervals.
+    ``grid`` maps parameters the signature method reads to non-empty
+    lists of values, and defaults to ``DEFAULT_GRID``.  Rows follow the
+    cells in lexicographic order of the sorted parameter names.  Each
+    row names its cell (the cell's window, threshold_k and depth, then
+    any other grid parameter in sorted order) and carries pooled metrics
+    plus bootstrap intervals.
 
     ``distance_series`` reads only window, depth and feature_mode, so
     the cells that differ in nothing else share one distance series per
@@ -292,9 +316,13 @@ def sensitivity_report(
     are dropped before the next group's are computed.
     """
     grid = DEFAULT_GRID if grid is None else grid
-    if not grid or not all(len(v) for v in grid.values()):
+    if not (
+        isinstance(grid, dict) and grid
+        and all(isinstance(v, (list, tuple)) and v for v in grid.values())
+    ):
         raise InvalidInputError(f"parameter grid needs a non-empty list per parameter, got {grid}")
-    _check_n_boot(n_boot)
+    _check_params("signature", grid)
+    _check_bootstrap(n_boot, seed)
     corpus = list(corpus)
     if not corpus:
         raise InvalidInputError("corpus must be non-empty")

@@ -165,8 +165,7 @@ class PatternSpec:
         return v
 
     def to_dict(self) -> dict:
-        change_days = None if self.change_days is None else list(self.change_days)
-        return {**_record_dict(self), "change_days": change_days}
+        return _record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -330,11 +329,15 @@ def generate_batch(
     uniformly from the documented ranges.
 
     ``overrides`` pins chosen spec fields across the whole corpus (for
-    example a fixed duration).  Reproducible from ``master_seed``.
+    example a fixed duration).  Reproducible from ``master_seed``, a
+    nonnegative integer.
     """
-    reason = number_error("n_per_pattern", n_per_pattern, 1, math.inf, integer=True)
-    if reason:
-        raise PatternSpecError([reason])
+    reasons = [
+        number_error("n_per_pattern", n_per_pattern, 1, math.inf, integer=True),
+        number_error("master_seed", master_seed, *BOUNDS["seed"][:2], integer=True),
+    ]
+    if any(reasons):
+        raise PatternSpecError(filter(None, reasons))
     kinds = [kinds] if isinstance(kinds, str) else list(kinds)
     overrides = dict(overrides or {})
     rng = np.random.default_rng(master_seed)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detector import Segment
 from .errors import ConfigurationError, InvalidInputError, number_error
-from .windowing import SCHEMA_VERSION, TimeSeries, _array_dicts, _record_dict
+from .windowing import SCHEMA_VERSION, TimeSeries, _record_dict
 
 __all__ = [
     "WastageReport",
@@ -45,15 +45,10 @@ class WastageReport:
     def to_dict(self) -> dict:
         """The report's fields; ``benchmark`` is summarised by its span,
         trend and mean metric."""
-        benchmark = _record_dict(self.benchmark)
-        return {
-            **_record_dict(self),
-            "schema_version": SCHEMA_VERSION,
-            "benchmark": {
-                key: benchmark[key] for key in ("start_date", "end_date", "trend", "mean_metric")
-            },
-            "daily": _array_dicts(self.daily),
-        }
+        out = {**_record_dict(self), "schema_version": SCHEMA_VERSION}
+        summary = ("start_date", "end_date", "trend", "mean_metric")
+        out["benchmark"] = {key: out["benchmark"][key] for key in summary}
+        return out
 
 
 def select_benchmark(segments) -> tuple:

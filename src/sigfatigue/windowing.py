@@ -15,7 +15,7 @@ per day.  Days with zero impressions have no defined click-through rate
 and are dropped at ingestion with a warning.
 
 Every module imports this one, so it also holds the reports' schema
-version and the two walks every report's ``to_dict`` is built from.
+version and the walk every report's ``to_dict`` is built from.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import csv
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,16 +48,23 @@ _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 def _record_dict(record) -> dict:
-    """A dataclass record's fields in declaration order, dates as ISO strings.
+    """A dataclass record's fields in declaration order, as JSON values.
 
-    The walk is shallow: other values, nested containers included, are
-    passed through as they are.
+    A date is written as its ISO string, a tuple as a list, a nested
+    record as its dict and a structured array as ``_array_dicts(array)``;
+    any other value is passed through as it is.
     """
-    out = {}
-    for field in fields(record):
-        value = getattr(record, field.name)
-        out[field.name] = value.isoformat() if isinstance(value, dt.date) else value
-    return out
+    return {field.name: _json_value(getattr(record, field.name)) for field in fields(record)}
+
+
+def _json_value(value):
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _array_dicts(value)
+    return _record_dict(value) if is_dataclass(value) else value
 
 
 def _array_dicts(array) -> list:

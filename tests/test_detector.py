@@ -32,7 +32,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = DetectorConfig()
         assert (cfg.window, cfg.depth, cfg.threshold_k, cfg.alpha) == (14, 3, 2.0, 0.05)
-        assert cfg.effective_merge_gap == 14
+        assert cfg.merge_gap == 14
         assert cfg.feature_mode == "full"
 
     def test_max_depth_accepted(self):
@@ -41,8 +41,9 @@ class TestConfig:
         assert DetectorConfig(depth=np.int64(2), alpha=np.float64(0.5)).depth == 2
 
     def test_merge_gap_follows_window(self):
-        assert DetectorConfig(window=7).effective_merge_gap == 7
-        assert DetectorConfig(window=7, merge_gap=0).effective_merge_gap == 0
+        assert DetectorConfig(window=7).merge_gap == 7
+        assert DetectorConfig(window=7, merge_gap=0).merge_gap == 0
+        assert DetectorConfig(window=7) == DetectorConfig(window=7, merge_gap=7)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,11 +1,12 @@
 import datetime as dt
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigfatigue import detector, evaluation, sigcore as sc
+from sigfatigue import baselines, detector, evaluation, sigcore as sc
 from sigfatigue.detector import DetectorConfig, detect
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
 from sigfatigue.evaluation import (
@@ -23,6 +24,16 @@ from sigfatigue.windowing import pair_paths
 
 
 D = dt.date
+# seeds the one number rule refuses: None would draw fresh OS entropy
+BAD_SEEDS = (-1, 2.5, True, None, "x")
+
+
+def draw_cases(*n_boots):
+    """(n_boot, seed, the parameter refused) cases: each bad n_boot with
+    seed 0, then each bad seed with a valid n_boot."""
+    return [pytest.param(n, 0, "n_boot", id=str(n)) for n in n_boots] + [
+        pytest.param(10, seed, "seed", id=f"seed={seed!r}") for seed in BAD_SEEDS
+    ]
 
 
 def days(*nums):
@@ -230,17 +241,23 @@ class TestPoolAndBootstrap:
         with pytest.raises(InvalidInputError, match="zero scores"):
             pool_scores([])
 
-    @pytest.mark.parametrize("n_boot", [-1, evaluation.MAX_BOOTSTRAP + 1, 2.5, True])
-    def test_n_boot_bounded(self, n_boot):
+    @pytest.mark.parametrize(
+        "n_boot,seed,name", draw_cases(-1, evaluation.MAX_BOOTSTRAP + 1, 2.5, True)
+    )
+    def test_n_boot_bounded(self, n_boot, seed, name):
         scores = [score(days(1), days(1))] * 2
-        with pytest.raises(InvalidInputError, match="n_boot"):
-            bootstrap_ci(scores, n_boot=n_boot)
+        with pytest.raises(InvalidInputError, match=name):
+            bootstrap_ci(scores, n_boot=n_boot, seed=seed)
 
-    @pytest.mark.parametrize("n_boot", [2.5, True])
-    def test_evaluate_corpus_checks_n_boot(self, n_boot):
+    @pytest.mark.parametrize("n_boot,seed,name", draw_cases(2.5, True))
+    def test_evaluate_corpus_checks_n_boot(self, n_boot, seed, name):
         corpus = generate_batch(["sharp_drop"], 2, master_seed=1, overrides={"duration_days": 60})
-        with pytest.raises(InvalidInputError, match="n_boot must be an integer"):
-            evaluate_corpus(corpus, "cusum", n_boot=n_boot)
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            evaluate_corpus(corpus, "cusum", n_boot=n_boot, seed=seed)
+
+    def test_numpy_seed_accepted(self):
+        scores = [score(days(1), days(1)), score(days(1), days(9))]
+        assert bootstrap_ci(scores, seed=np.int64(7)) == bootstrap_ci(scores, seed=7)
 
     @pytest.mark.parametrize("n_boot", [0, 1, 2, 100])
     @pytest.mark.parametrize("level", [0.9, 0.95])
@@ -263,6 +280,32 @@ class TestHarness:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError):
             make_method("prophet")
+
+    @pytest.mark.parametrize(
+        "name,params,unread,reads",
+        [
+            (
+                "signature", {"windw": 7}, "windw",
+                "window, depth, threshold_k, merge_gap, feature_mode",
+            ),
+            # scoring never segments, so the trend tests' alpha would change nothing
+            ("signature", {"window": 7, "alpha": 0.2}, "alpha", "window, depth"),
+            ("cusum", {"foo": 1}, "foo", "reference_k, decision_h"),
+            ("ma_crossover", {"window": 7}, "window", "short_window, long_window"),
+        ],
+    )
+    def test_unread_parameter_rejected(self, name, params, unread, reads):
+        message = f"{name} does not read '{unread}'; it reads {reads}"
+        with pytest.raises(InvalidInputError, match=message):
+            make_method(name, **params)
+
+    def test_wrapped_baseline_reads_its_own_signature(self, monkeypatch):
+        original = baselines.cusum
+        wrapped = functools.wraps(original)(lambda *args, **kwargs: original(*args, **kwargs))
+        monkeypatch.setattr(baselines, "cusum", wrapped)
+        make_method("cusum", reference_k=1.0, decision_h=4.0)
+        with pytest.raises(InvalidInputError, match="cusum does not read 'window'"):
+            make_method("cusum", window=7)
 
     def test_signature_method_scores_sharp_corpus(self):
         corpus = generate_batch(
@@ -461,9 +504,9 @@ class TestDistanceReuse:
         assert all(tuple(row)[: len(keys)] == keys for row in rows)
 
     def test_grid_search_rows_equal_per_cell_evaluation(self, corpus):
-        grid, policy = {**self.GRID, "alpha": [0.05, 0.1]}, MatchPolicy(2)
+        grid, policy = self.GRID, MatchPolicy(2)
         rows = sensitivity_report(corpus, grid, policy, n_boot=0)
-        keys = ("window", "threshold_k", "depth", "alpha", "feature_mode", "merge_gap")
+        keys = ("window", "threshold_k", "depth", "feature_mode", "merge_gap")
         expected = []
         for cell in self._cells(grid):
             _, pooled = evaluate_corpus(
@@ -492,14 +535,29 @@ class TestSensitivity:
         with pytest.raises(InvalidInputError):
             sensitivity_report(corpus, grid={"window": []})
 
-    @pytest.mark.parametrize("n_boot", [-1, evaluation.MAX_BOOTSTRAP + 1])
-    def test_n_boot_checked_before_any_distance(self, monkeypatch, n_boot):
+    @pytest.mark.parametrize("n_boot,seed,name", draw_cases(-1, evaluation.MAX_BOOTSTRAP + 1))
+    def test_n_boot_checked_before_any_distance(self, monkeypatch, n_boot, seed, name):
         corpus = generate_batch("sharp_drop", 2, master_seed=91, overrides={"duration_days": 120})
         monkeypatch.setattr(evaluation, "_pooled_distances", None)
-        with pytest.raises(InvalidInputError, match="n_boot"):
-            sensitivity_report(corpus, n_boot=n_boot)
-        with pytest.raises(InvalidInputError, match="n_boot"):
-            evaluate_corpus(corpus, "signature", n_boot=n_boot)
+        with pytest.raises(InvalidInputError, match=name):
+            sensitivity_report(corpus, n_boot=n_boot, seed=seed)
+        with pytest.raises(InvalidInputError, match=name):
+            evaluate_corpus(corpus, "signature", n_boot=n_boot, seed=seed)
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"windw": [7]}, "signature does not read 'windw'"),
+            ({"window": [7], "alpha": [0.05, 0.1]}, "signature does not read 'alpha'"),
+            ({"window": 7}, "non-empty list per parameter"),
+            ([7], "non-empty list per parameter"),
+        ],
+    )
+    def test_grid_checked_before_any_distance(self, monkeypatch, grid, message):
+        corpus = generate_batch("sharp_drop", 2, master_seed=91, overrides={"duration_days": 120})
+        monkeypatch.setattr(evaluation, "_pooled_distances", None)
+        with pytest.raises(InvalidInputError, match=message):
+            sensitivity_report(corpus, grid, n_boot=0)
 
     def test_noiseless_corpus_exact_tolerance(self):
         corpus = generate_batch(

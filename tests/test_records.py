@@ -1,12 +1,14 @@
 """A report's JSON is its records' fields, each field named once.
 
-``to_dict`` walks a dataclass's fields in declaration order and a
-structured array's columns in order, writing dates as ISO strings; only
-the named exceptions are written by hand.
+``to_dict`` is one walk over a dataclass's fields in declaration order:
+dates become ISO strings, tuples lists, nested records their dicts and
+structured arrays one dict per record, columns in order; only the named
+exceptions are written by hand.
 """
 
 import dataclasses
-from dataclasses import replace
+import datetime as dt
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from sigfatigue.detector import (
 from sigfatigue.evaluation import EvalMetrics, score
 from sigfatigue.synth import PatternSpec
 from sigfatigue.wastage import DAILY_DTYPE, WastageReport, compute_wastage
-from sigfatigue.windowing import _array_dicts
+from sigfatigue.windowing import _array_dicts, _record_dict
 
 from conftest import daily_dates
 
@@ -30,8 +32,34 @@ def names(cls) -> list:
     return [field.name for field in dataclasses.fields(cls)]
 
 
+@dataclass(frozen=True, eq=False)
+class Holder:
+    day: dt.date
+    counts: tuple
+    point: ChangePoint
+    points: tuple
+    array: np.ndarray
+    table: dict
+
+
+def test_walk_writes_each_kind_of_value():
+    point = ChangePoint(date=dt.date(2024, 1, 2), distance=0.5, threshold=0.25)
+    array = np.zeros(1, dtype=DISTANCE_DTYPE)
+    table = {"nested": {"lo": 1.0}}
+    out = _record_dict(Holder(dt.date(2024, 1, 1), (1, 2), point, (point, point), array, table))
+    assert list(out) == names(Holder)
+    assert out["day"] == "2024-01-01"
+    assert out["counts"] == [1, 2]
+    entry = {"date": "2024-01-02", "distance": 0.5, "threshold": 0.25}
+    assert out["point"] == entry
+    assert out["points"] == [entry, entry]
+    assert out["array"] == [{"date": "1970-01-01", "distance": 0.0}]
+    # a value the walk does not convert is the record's own object
+    assert out["table"] is table
+
+
 def test_detector_config_writes_effective_merge_gap():
-    out = DetectorConfig(window=7).to_dict()
+    out = _record_dict(DetectorConfig(window=7))
     assert list(out) == names(DetectorConfig)
     assert out["merge_gap"] == 7
 
@@ -43,7 +71,7 @@ def test_eval_metrics_leave_out_delays_and_unset_ci():
     ci = {"precision": {"lo": 0.5, "hi": 1.0}}
     out = replace(metrics, ci=ci).to_dict()
     assert list(out) == [n for n in names(EvalMetrics) if n != "delays"]
-    # the walk is shallow: a nested value is the record's own object
+    # a dict is not converted, so the walk passes the record's own object
     assert out["ci"] is ci
 
 

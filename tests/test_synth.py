@@ -370,6 +370,11 @@ class TestBatch:
         for n in (0, 2.5, "2", True):
             with pytest.raises(PatternSpecError, match="n_per_pattern must be an integer in"):
                 generate_batch("sharp_drop", n, master_seed=1)
+        for seed in (-1, 2.5, "x", True, None):
+            with pytest.raises(PatternSpecError, match="master_seed must be an integer in"):
+                generate_batch("sharp_drop", 1, master_seed=seed)
+        a, b = (generate_batch("sharp_drop", 2, seed) for seed in (1, np.int64(1)))
+        assert [item.spec for item in a] == [item.spec for item in b]
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(PatternSpecError, match="mystery"):
