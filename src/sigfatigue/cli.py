@@ -19,7 +19,7 @@ import argparse
 import datetime as dt
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +38,7 @@ from .evaluation import (
     MatchPolicy,
     evaluate_corpus,
     make_method,
+    method_params,
     sensitivity_report,
 )
 from .plots import report_svg
@@ -83,50 +84,37 @@ def _manifest(item: GeneratedSeries) -> dict:
     }
 
 
-# The detector and method flags, dest -> (argparse keywords, default, the
-# parameter the flag sets, the readers that take it).  A reader is a
-# --method name or "report", the signature detection report of detect and
-# wastage, which also reads the trend tests' --alpha.  On the command line
-# each flag defaults to None, so that a flag the reader does not take can
-# be told apart from one left unset, and rejected.
-SIGNATURE_READERS = ("signature", "report")
+# The detector and method flags, dest -> (argparse keywords, the parameter
+# the flag sets).  A reader is a --method name, which reads its
+# method_params, or "report", the signature detection report of detect and
+# wastage, which reads every DetectorConfig field, the trend tests' alpha
+# too.  On the command line each flag defaults to None, so that a flag the
+# reader does not take can be told apart from one left unset, and rejected.
 DETECTOR_FLAGS = {
-    "window": (
-        {"type": int, "help": "window size in observations"},
-        DetectorConfig.window, "window", (*SIGNATURE_READERS, "rolling_regression"),
-    ),
-    "depth": (
-        {"type": int, "help": "signature truncation depth"},
-        DetectorConfig.depth, "depth", SIGNATURE_READERS,
-    ),
-    "k": (
-        {"type": float, "help": "threshold multiplier"},
-        DetectorConfig.threshold_k, "threshold_k", SIGNATURE_READERS,
-    ),
-    "alpha": (
-        {"type": float, "help": "trend-test significance level"},
-        DetectorConfig.alpha, "alpha", ("report", "rolling_regression"),
-    ),
+    "window": ({"type": int, "help": "window size in observations"}, "window"),
+    "depth": ({"type": int, "help": "signature truncation depth"}, "depth"),
+    "k": ({"type": float, "help": "threshold multiplier"}, "threshold_k"),
+    "alpha": ({"type": float, "help": "trend-test significance level"}, "alpha"),
     "merge_gap": (
         {
             "type": int,
             "help": "merge flags within this many days (default: window, or 0 when scoring)",
         },
-        DetectorConfig.merge_gap, "merge_gap", SIGNATURE_READERS,
+        "merge_gap",
     ),
     "feature_mode": (
         {
             "choices": FEATURE_MODES,
             "help": "distance features: full signature or its tensor logarithm",
         },
-        DetectorConfig.feature_mode, "feature_mode", SIGNATURE_READERS,
+        "feature_mode",
     ),
 }
 METHOD_FLAGS = {
-    "short_window": ({"type": int}, 7, "short_window", ("ma_crossover",)),
-    "long_window": ({"type": int}, 28, "long_window", ("ma_crossover",)),
-    "reference_k": ({"type": float}, 0.5, "reference_k", ("cusum",)),
-    "decision_h": ({"type": float}, 5.0, "decision_h", ("cusum",)),
+    "short_window": ({"type": int}, "short_window"),
+    "long_window": ({"type": int}, "long_window"),
+    "reference_k": ({"type": float}, "reference_k"),
+    "decision_h": ({"type": float}, "decision_h"),
 }
 
 
@@ -187,15 +175,18 @@ def _add_flags(parser, table) -> None:
 def _params(args, reader: str) -> dict:
     """The parameters ``reader`` takes from the detector and method flags.
 
-    An unset flag takes its default; an unset ``--merge-gap`` is left out,
-    so the method keeps its own.  A given flag ``reader`` does not take
-    raises ConfigurationError.
+    An unset flag takes the ``DetectorConfig`` default where the detector
+    has that parameter, and the method's default otherwise; a None default
+    (``--merge-gap``) is left out, so the method keeps its own.  A given
+    flag ``reader`` does not take raises ConfigurationError.
     """
+    detector = {f.name: f.default for f in fields(DetectorConfig)}
+    reads = detector if reader == "report" else method_params(reader)
     params = {}
-    for dest, (_, default, param, readers) in {**DETECTOR_FLAGS, **METHOD_FLAGS}.items():
+    for dest, (_, param) in {**DETECTOR_FLAGS, **METHOD_FLAGS}.items():
         value = getattr(args, dest, None)
-        if reader in readers:
-            value = default if value is None else value
+        if param in reads:
+            value = detector.get(param, reads[param]) if value is None else value
             if value is not None:
                 params[param] = value
         elif value is not None:

@@ -7,11 +7,12 @@ counts within the policy tolerance.  Delay is detected minus true, so
 negative values are early warnings.
 
 Corpus scores are pooled counts (micro averages); confidence intervals
-come from a seeded percentile bootstrap over series.  Benchmarking runs
-detectors through a small registry so the signature method and the
-reference baselines share one harness.  A registered method makes a
-corpus callable, list of series -> one list of detected dates per
-series, so the signature method pools a corpus into few kernel calls.
+come from a seeded percentile bootstrap over series.  The signature
+method and the reference baselines share one harness: ``METHODS`` names
+them, ``method_params`` gives the parameters each reads with their
+defaults, and ``make_method`` builds each one's corpus callable, list
+of series -> one list of detected dates per series, so the signature
+method pools a corpus into few kernel calls.
 Following the published protocol, the signature method is scored on its
 raw exceedance flags (merging disabled); merged change points are an
 analyst-facing report feature.
@@ -24,11 +25,10 @@ threshold_k and merge_gap of the grid.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "pool_scores",
     "bootstrap_ci",
     "METHODS",
+    "method_params",
     "make_method",
     "evaluate_corpus",
     "sensitivity_report",
@@ -56,9 +57,7 @@ N_BOOT = 100  # bootstrap resamples by default
 CI_LEVEL = 0.95  # of every bootstrap interval
 # the parameter grid sensitivity_report sweeps by default
 DEFAULT_GRID = {"window": (7, 14, 21), "threshold_k": (1.5, 2.0, 2.5), "depth": (3,)}
-# the DetectorConfig fields the signature method reads; scoring never segments,
-# so the trend tests' alpha is not one of them
-SIGNATURE_PARAMS = ("window", "depth", "threshold_k", "merge_gap", "feature_mode")
+METHODS = ("signature", *baselines.__all__)
 
 
 def _check_bootstrap(n_boot: int, seed: int) -> None:
@@ -210,45 +209,27 @@ def bootstrap_ci(scores, n_boot: int = N_BOOT, seed: int = 0) -> dict:
     return out
 
 
-def _signature_config(params: dict) -> DetectorConfig:
-    params = dict(params)
-    return DetectorConfig(merge_gap=params.pop("merge_gap", 0), **params)
+def method_params(name: str) -> dict:
+    """Each parameter method ``name`` reads, mapped to its default.
 
-
-def _flag_dates(distances, cfg: DetectorConfig) -> list:
-    _, _, _, change_points = flag_change_points(distances, cfg)
-    return [c.date for c in change_points]
-
-
-def _signature_method(**params):
-    cfg = _signature_config(params)
-    return lambda series_list: [_flag_dates(d, cfg) for d in _pooled_distances(series_list, cfg)]
-
-
-def _baseline_method(name: str, **params):
-    # looked up on each call, so a wrapped baselines function is the one run
-    return lambda series_list: [getattr(baselines, name)(s, **params) for s in series_list]
-
-
-METHODS = {
-    "signature": _signature_method,
-    **{
-        name: functools.partial(_baseline_method, name)
-        for name in baselines.__all__
-    },
-}
+    The signature method reads every ``DetectorConfig`` field but the
+    trend tests' alpha, since scoring never segments, with merge_gap 0,
+    since it scores raw flags.  A baseline reads the keyword parameters
+    of its own signature, which ``inspect.signature`` follows through a
+    wrapper's ``__wrapped__``.
+    """
+    if name not in METHODS:
+        raise InvalidInputError(f"unknown method {name!r}, expected one of {sorted(METHODS)}")
+    if name == "signature":
+        defaults = {f.name: f.default for f in fields(DetectorConfig) if f.name != "alpha"}
+        return {**defaults, "merge_gap": 0}
+    parameters = list(inspect.signature(getattr(baselines, name)).parameters.values())
+    return {p.name: p.default for p in parameters[1:]}
 
 
 def _check_params(name: str, params) -> None:
-    """Refuse a parameter that method ``name`` does not read.
-
-    A baseline reads the keyword parameters of its own signature, which
-    ``inspect.signature`` follows through a wrapper's ``__wrapped__``.
-    """
-    if name == "signature":
-        reads = SIGNATURE_PARAMS
-    else:
-        reads = tuple(inspect.signature(getattr(baselines, name)).parameters)[1:]
+    """Refuse a parameter that method ``name`` does not read."""
+    reads = method_params(name)
     unread = [param for param in params if param not in reads]
     if unread:
         raise InvalidInputError(
@@ -256,13 +237,26 @@ def _check_params(name: str, params) -> None:
         )
 
 
+def _signature_config(params: dict) -> DetectorConfig:
+    return DetectorConfig(**{**method_params("signature"), **params})
+
+
+def _flag_dates(distances, cfg: DetectorConfig) -> list:
+    _, _, _, change_points = flag_change_points(distances, cfg)
+    return [c.date for c in change_points]
+
+
 def make_method(name: str, **params):
-    """Corpus callable from the registry: it takes a list of series and
+    """Corpus callable of method ``name``: it takes a list of series and
     returns one list of detected dates per series, in order."""
-    if name not in METHODS:
-        raise InvalidInputError(f"unknown method {name!r}, expected one of {sorted(METHODS)}")
     _check_params(name, params)
-    return METHODS[name](**params)
+    if name == "signature":
+        cfg = _signature_config(params)
+        return lambda series_list: [
+            _flag_dates(d, cfg) for d in _pooled_distances(series_list, cfg)
+        ]
+    # looked up on each call, so a wrapped baselines function is the one run
+    return lambda series_list: [getattr(baselines, name)(s, **params) for s in series_list]
 
 
 def evaluate_corpus(
@@ -274,7 +268,7 @@ def evaluate_corpus(
 ) -> tuple:
     """Score a method over a corpus.
 
-    ``method`` is a registry name or a corpus callable as ``make_method``
+    ``method`` is a ``METHODS`` name or a corpus callable as ``make_method``
     returns, called once with every series of the corpus.  Returns
     (per-series scores, pooled EvalMetrics with bootstrap intervals).
     """

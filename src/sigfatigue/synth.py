@@ -328,18 +328,23 @@ def generate_batch(
     """Corpus of ``n_per_pattern`` series per kind, parameters sampled
     uniformly from the documented ranges.
 
-    ``overrides`` pins chosen spec fields across the whole corpus (for
-    example a fixed duration).  Reproducible from ``master_seed``, a
-    nonnegative integer.
+    ``overrides`` pins chosen spec fields other than ``kind`` across the
+    whole corpus (for example a fixed duration).  Reproducible from
+    ``master_seed``, a nonnegative integer.
     """
+    overrides = dict(overrides or {})
     reasons = [
         number_error("n_per_pattern", n_per_pattern, 1, math.inf, integer=True),
         number_error("master_seed", master_seed, *BOUNDS["seed"][:2], integer=True),
+        *(
+            f"overrides may pin PatternSpec fields other than kind, got {name!r}"
+            for name in overrides
+            if name == "kind" or name not in PatternSpec.__dataclass_fields__
+        ),
     ]
     if any(reasons):
         raise PatternSpecError(filter(None, reasons))
     kinds = [kinds] if isinstance(kinds, str) else list(kinds)
-    overrides = dict(overrides or {})
     rng = np.random.default_rng(master_seed)
     corpus = []
     for kind in kinds:

@@ -106,14 +106,31 @@ def _invalid_row(dates, impressions, clicks, cost, metric):
     return None
 
 
+def _number_column(name, values, integer) -> np.ndarray:
+    """A copy of ``values`` as an int64 column with ``integer``, else a float
+    one.  Counts must be integers that fit int64 and a cost an integer or
+    real number; a bool, string or other value raises.  An empty column
+    passes, to be refused for its length."""
+    column = np.array(values)
+    kind = column.dtype.kind
+    if column.size and (
+        kind not in ("iu" if integer else "iuf")
+        or integer and kind == "u" and column.max() > np.iinfo(np.int64).max
+    ):
+        kinds = "integers that fit int64" if integer else "integers or real numbers"
+        raise InvalidInputError(f"{name} must hold {kinds}, got {column.dtype} values")
+    return column.astype(np.int64 if integer else float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Date-ordered daily observations, one column each, plus the metric
     under analysis.
 
     ``dates`` is ``datetime64[D]``, ``impressions`` and ``clicks`` are
-    integers, and ``cost`` is float or None when no spend was recorded.
-    The columns are copied, validated once and made read-only.
+    integers that fit int64, and ``cost`` is float, given as integers or
+    real numbers, or None when no spend was recorded.  The columns are
+    copied, validated once and made read-only.
     """
 
     dates: np.ndarray
@@ -125,11 +142,11 @@ class TimeSeries:
     def __post_init__(self):
         columns = {
             "dates": np.array(self.dates, dtype="datetime64[D]"),
-            "impressions": np.array(self.impressions, dtype=np.int64),
-            "clicks": np.array(self.clicks, dtype=np.int64),
+            "impressions": _number_column("impressions", self.impressions, integer=True),
+            "clicks": _number_column("clicks", self.clicks, integer=True),
         }
         if self.cost is not None:
-            columns["cost"] = np.array(self.cost, dtype=float)
+            columns["cost"] = _number_column("cost", self.cost, integer=False)
         for name, column in columns.items():
             column.setflags(write=False)
             object.__setattr__(self, name, column)

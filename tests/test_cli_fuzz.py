@@ -18,7 +18,7 @@ import datetime as dt
 import io
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,12 +35,20 @@ from sigfatigue.cli import (
     main,
     non_negative_int,
 )
-from sigfatigue.evaluation import METHODS
+from sigfatigue.detector import DetectorConfig
+from sigfatigue.evaluation import METHODS, method_params
 from sigfatigue.windowing import read_series_csv, write_series_csv
 
 METHOD_TABLE = {**DETECTOR_FLAGS, **METHOD_FLAGS}
 MOSTLY = st.sampled_from([True, True, True, False])
 JUNK = st.sampled_from(["", "abc", "nan", "inf", "-1", "1e309", "x,y", "2024-13-01"])
+
+
+def _reads(reader) -> set:
+    """The parameters a --method name or "report" (detect and wastage) reads."""
+    if reader == "report":
+        return {f.name for f in fields(DetectorConfig)}
+    return set(method_params(reader))
 
 
 def _mostly(plausible, extreme):
@@ -195,7 +203,7 @@ def command_lines(draw, command, paths):
         argv.append(f"--method={method}")
         reader = "report" if command == "detect" and method == "signature" else method
         if draw(MOSTLY):  # leave out the flags the method does not read
-            skip |= {d for d, (*_, readers) in METHOD_TABLE.items() if reader not in readers}
+            skip |= {d for d, (_, param) in METHOD_TABLE.items() if param not in _reads(reader)}
     if "--corpus" in argv and draw(MOSTLY):  # leave out the flags a corpus rejects
         skip |= {"n", *SPEC_FLAGS}
     options = [a for a in parser._actions if a.option_strings and a.dest not in skip]

@@ -10,11 +10,13 @@ from sigfatigue import baselines, detector, evaluation, sigcore as sc
 from sigfatigue.detector import DetectorConfig, detect
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
 from sigfatigue.evaluation import (
+    METHODS,
     MatchPolicy,
     bootstrap_ci,
     evaluate_corpus,
     make_method,
     match_detections,
+    method_params,
     pool_scores,
     score,
     sensitivity_report,
@@ -298,6 +300,16 @@ class TestHarness:
         message = f"{name} does not read '{unread}'; it reads {reads}"
         with pytest.raises(InvalidInputError, match=message):
             make_method(name, **params)
+
+    def test_method_params_are_the_defaults_each_method_runs(self):
+        # scoring uses raw flags, so the signature method merges nothing by default
+        assert method_params("signature")["merge_gap"] == 0
+        corpus = generate_batch(
+            list(PATTERN_KINDS), 1, master_seed=41, overrides={"duration_days": 120}
+        )
+        series = [item.series for item in corpus]
+        for name in METHODS:
+            assert make_method(name, **method_params(name))(series) == make_method(name)(series)
 
     def test_wrapped_baseline_reads_its_own_signature(self, monkeypatch):
         original = baselines.cusum

@@ -373,6 +373,12 @@ class TestBatch:
         for seed in (-1, 2.5, "x", True, None):
             with pytest.raises(PatternSpecError, match="master_seed must be an integer in"):
                 generate_batch("sharp_drop", 1, master_seed=seed)
+        for overrides in ({"foo": 1}, {"kind": "sharp_drop"}):
+            name = next(iter(overrides))
+            with pytest.raises(PatternSpecError, match=f"other than kind, got '{name}'"):
+                generate_batch(["sharp_drop", "classic_wear_out"], 1, 0, overrides=overrides)
+        with pytest.raises(PatternSpecError, match="n_per_pattern.*; overrides may pin"):
+            generate_batch("sharp_drop", 0, 0, overrides={"foo": 1})
         a, b = (generate_batch("sharp_drop", 2, seed) for seed in (1, np.int64(1)))
         assert [item.spec for item in a] == [item.spec for item in b]
 

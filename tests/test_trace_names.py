@@ -110,7 +110,7 @@ def corpus():
 
 @pytest.mark.parametrize("method", sorted(evaluation.METHODS))
 def test_traced_evaluation_attributes_each_method(tracing, corpus, method):
-    # the registry looks each detector up when it runs, so a wrapped one is seen;
+    # make_method looks each baseline up when it runs, so a wrapped one is seen;
     # the signature method pools the corpus's 3 series into one kernel call
     totals = traced_totals(tracing, lambda: evaluation.evaluate_corpus(corpus, method, n_boot=0))
     if method == "signature":

@@ -102,6 +102,25 @@ class TestTimeSeries:
             TimeSeries(**columns)
 
     @pytest.mark.parametrize(
+        "column,values,message",
+        [
+            ("impressions", [10.7] * 3, "impressions must hold integers that fit int64"),
+            ("clicks", [1.9] * 3, "clicks must hold integers that fit int64"),
+            ("impressions", [True] * 3, "impressions must hold integers"),
+            ("impressions", [float("nan")] * 3, "impressions must hold integers"),
+            ("impressions", [2**63 + 5] * 3, "impressions must hold integers that fit int64"),
+            ("clicks", [2**64 + 5] * 3, "clicks must hold integers that fit int64"),
+            ("cost", [True, False, True], "cost must hold integers or real numbers"),
+            ("cost", ["1", "2", "3"], "cost must hold integers or real numbers"),
+        ],
+    )
+    def test_rejects_columns_of_the_wrong_type(self, column, values, message):
+        columns = dict(dates=daily_dates(3), impressions=[100] * 3, clicks=[5] * 3, cost=[1.0] * 3)
+        columns[column] = values
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            TimeSeries(**columns)
+
+    @pytest.mark.parametrize(
         "rows,message",
         [
             ([(100, 5), (100, 101)], "2024-01-02: clicks must satisfy"),
