@@ -132,13 +132,6 @@ def iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
 # Pattern-spec flags, dest -> (argparse keywords, the PatternSpec field
 # the flag sets).  Unset, the field keeps its default or sampled value.
 SPEC_FLAGS = {
@@ -218,7 +211,7 @@ def _add_pattern_flags(parser, corpus: bool = False) -> None:
     group.add_argument("--pattern", choices=PATTERN_KINDS, help="pattern kind")
     group.add_argument("--all", action="store_true", help="every pattern kind")
     parser.add_argument("--n", type=int, default=None, help="series per pattern (default 1)")
-    parser.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
     _add_flags(parser, SPEC_FLAGS)
 
 
@@ -281,8 +274,6 @@ def _load_corpus(directory: str) -> list:
 
 
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = _series_per_pattern(args)
     if n == 1 and not args.all:
         # single fully specified series: honor the seed directly
@@ -291,6 +282,8 @@ def cmd_generate(args) -> int:
         items = [GeneratedSeries(spec=spec, series=series, truth=truth)]
     else:
         items = _corpus(args)
+    out_dir = Path(args.out)  # made after the draw, so a refused spec leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     # generate_batch returns n series per kind, kind by kind
     for i, item in enumerate(items):
         stem = f"{item.spec.kind}_{i % n:04d}"

@@ -132,7 +132,7 @@ def _pooled_distances(series_list, cfg: DetectorConfig) -> list:
 
     Runs of whole series whose loops fit one kernel block, or a single
     series that does not, share one ``batch_signature`` call over their
-    loops, stacked series by series.  Kernel rows do not depend on the
+    loops, stacked along the pair axis.  Kernel rows do not depend on the
     split, so each array equals the one-series call bit for bit.
     """
     block = _block_paths(cfg.window + 2, 2, cfg.depth)
@@ -147,20 +147,17 @@ def _pooled_distances(series_list, cfg: DetectorConfig) -> list:
     out = []
     for pool in pools:
         dates, loops = zip(*(pair_paths(series, cfg.window) for series in pool))
-        # one series' loops go in as they are; the stack of several replaces
-        # theirs, so one copy of the pool's loops is alive in the kernel
-        loops = loops[0] if len(loops) == 1 else np.concatenate(loops)
-        features = batch_signature(loops, cfg.depth, log=cfg.feature_mode == "log")
-        for boundary in dates:
-            # a series' rows are its left loops, then its right ones
-            n = len(boundary)
-            diff = features[:n] - features[n : 2 * n]
-            features = features[2 * n :]
-            points = np.empty(n, dtype=DISTANCE_DTYPE)
-            points["date"] = boundary
-            # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
-            points["distance"] = np.sqrt(np.vecdot(diff, diff))
-            out.append(points)
+        loops = np.concatenate(loops, axis=1)  # (side, pair, vertex, coordinate)
+        features = batch_signature(
+            loops.reshape(-1, cfg.window + 2, 2), cfg.depth, log=cfg.feature_mode == "log"
+        )
+        left, right = features.reshape(2, loops.shape[1], -1)
+        diff = left - right
+        points = np.empty(len(diff), dtype=DISTANCE_DTYPE)
+        points["date"] = np.concatenate(dates)
+        # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
+        points["distance"] = np.sqrt(np.vecdot(diff, diff))
+        out.extend(np.split(points, np.cumsum([len(d) for d in dates[:-1]])))
     return out
 
 

@@ -106,12 +106,41 @@ def _invalid_row(dates, impressions, clicks, cost, metric):
     return None
 
 
+def _array(name, values) -> np.ndarray:
+    """A copy of ``values`` as one array; a ragged sequence raises."""
+    try:
+        return np.array(values)
+    except ValueError:
+        raise InvalidInputError(f"{name} must be a rectangular array, got a ragged one") from None
+
+
+def _date_column(values) -> np.ndarray:
+    """A copy of ``values`` as a datetime64[D] column.  Dates must be
+    datetime64 values or ``datetime.date`` objects, each a whole day; a
+    bool, number, string or time of day raises.  An empty column passes,
+    to be refused for its length."""
+    column = _array("dates", values)
+    if column.dtype.kind == "O" and all(isinstance(v, dt.date) for v in column.flat):
+        column = column.astype("datetime64")
+    if not column.size:
+        return column.astype("datetime64[D]")
+    if column.dtype.kind != "M":
+        raise InvalidInputError(
+            f"dates must hold datetime64 values or datetime.date objects, got {column.dtype}"
+        )
+    days = column.astype("datetime64[D]", copy=False)
+    off = days != column  # NaT is unequal to itself, so it is refused too
+    if off.any():
+        raise InvalidInputError(f"dates must be whole days, got {column[off][0]}")
+    return days
+
+
 def _number_column(name, values, integer) -> np.ndarray:
     """A copy of ``values`` as an int64 column with ``integer``, else a float
     one.  Counts must be integers that fit int64 and a cost an integer or
     real number; a bool, string or other value raises.  An empty column
     passes, to be refused for its length."""
-    column = np.array(values)
+    column = _array(name, values)
     kind = column.dtype.kind
     if column.size and (
         kind not in ("iu" if integer else "iuf")
@@ -127,10 +156,11 @@ class TimeSeries:
     """Date-ordered daily observations, one column each, plus the metric
     under analysis.
 
-    ``dates`` is ``datetime64[D]``, ``impressions`` and ``clicks`` are
-    integers that fit int64, and ``cost`` is float, given as integers or
-    real numbers, or None when no spend was recorded.  The columns are
-    copied, validated once and made read-only.
+    ``dates`` is ``datetime64[D]``, given as datetime64 values or
+    ``datetime.date`` objects that fall on whole days, ``impressions`` and
+    ``clicks`` are integers that fit int64, and ``cost`` is float, given
+    as integers or real numbers, or None when no spend was recorded.  The
+    columns are copied, validated once and made read-only.
     """
 
     dates: np.ndarray
@@ -141,7 +171,7 @@ class TimeSeries:
 
     def __post_init__(self):
         columns = {
-            "dates": np.array(self.dates, dtype="datetime64[D]"),
+            "dates": _date_column(self.dates),
             "impressions": _number_column("impressions", self.impressions, integer=True),
             "clicks": _number_column("clicks", self.clicks, integer=True),
         }
@@ -203,14 +233,15 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     observations i .. i + window - 1 (left) and the next ``window``
     (right), and its boundary date is the date of the first observation
     of the right window.  Returns (boundary dates, loops), with loops a
-    (2P, window + 2, 2) array: the P left loops, then the P right ones.
-    Each runs from (0, 0) through its window's points to (1, 0): time,
-    mapped to [0, 1] over the window by elapsed days so calendar gaps
-    survive, against the metric, min-max scaled over the pair's two
-    windows (constant pairs pinned to 0.5).  The shared scale lets the
-    signature comparison see level shifts between the windows.  The
-    closure keeps each window's level, which the signature's translation
-    invariance would drop, in the enclosed-area terms.
+    (2, P, window + 2, 2) array whose axes are side (left, right), pair,
+    vertex and coordinate.  Each loop runs from (0, 0) through its
+    window's points to (1, 0): time, mapped to [0, 1] over the window by
+    elapsed days so calendar gaps survive, against the metric, min-max
+    scaled over the pair's two windows (constant pairs pinned to 0.5).
+    The shared scale lets the signature comparison see level shifts
+    between the windows.  The closure keeps each window's level, which
+    the signature's translation invariance would drop, in the
+    enclosed-area terms.
     """
     check_number("window", window, 2, math.inf, integer=True)
     n = len(series)
@@ -222,7 +253,7 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     pairs = sliding_window_view(series.metric_values(), 2 * window)  # (P, 2W) view
     lo = pairs.min(axis=1, keepdims=True)
     span = pairs.max(axis=1, keepdims=True) - lo
-    # (side, pair, vertex, coordinate); the zeros are the (0, 0) start vertices
+    # the zeros are the (0, 0) start vertices
     loops = np.zeros((2, n_pairs, window + 2, 2))
     points = loops[:, :, 1:-1]
     with np.errstate(invalid="ignore"):
@@ -236,7 +267,7 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     points[0, ..., 0] = t[:n_pairs]
     points[1, ..., 0] = t[window:]
     loops[:, :, -1, 0] = 1.0  # the (1, 0) end vertices
-    return series.dates[window : window + n_pairs], loops.reshape(-1, window + 2, 2)
+    return series.dates[window : window + n_pairs], loops
 
 
 def read_series_csv(path, metric: str = "ctr") -> TimeSeries:

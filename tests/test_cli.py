@@ -491,6 +491,9 @@ BAD_INVOCATIONS = [
     ["evaluate", "--corpus", "{specless}"],
     ["wastage", "{csv}", "--cpc", "1e306"],
     ["generate", "--pattern", "sharp_drop", "--start-date", "9999-12-01", "--out", "{missing}"],
+    ["generate", "--pattern", "sharp_drop", "--duration", "5", "--out", "{missing}"],
+    ["generate", "--pattern", "sharp_drop", "--seed", "-1", "--out", "{missing}"],
+    ["generate", "--all", "--n", "2", "--seed", "-1", "--out", "{missing}"],
     ["evaluate", "--corpus", "{empty}"],
     ["sweep", "--corpus", "{csvless}"],
     ["detect", "{huge}", "--metric", "cost"],
@@ -556,6 +559,27 @@ def test_bad_invocation_exits_2(bad_inputs, capsys, argv):
     assert code == 2, err
     assert err.count("\n") == 1 or "usage:" in err, err
     assert "Traceback" not in err
+    if argv[0] == "generate":
+        assert not os.path.exists(bad_inputs["missing"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--pattern", "sharp_drop", "--out", "{missing}"],
+        ["generate", "--all", "--n", "2", "--out", "{missing}"],
+        ["evaluate", "--pattern", "sharp_drop", "--n", "1", "--duration", "60"],
+        ["evaluate", "--corpus", "{corpus}"],
+        ["sweep", "--corpus", "{corpus}", "--bootstrap", "0"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_is_refused_by_the_number_rule(bad_inputs, capsys, argv):
+    paths = {**bad_inputs, "corpus": os.path.dirname(bad_inputs["csv"])}
+    assert main([arg.format(**paths) for arg in argv] + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be an integer in [0, inf), got -1" in err
+    assert not os.path.exists(paths["missing"])
 
 
 # Flags whose cost grows without bound; each must exit 2 before any

@@ -33,7 +33,6 @@ from sigfatigue.cli import (
     int_list,
     iso_date,
     main,
-    non_negative_int,
 )
 from sigfatigue.detector import DetectorConfig
 from sigfatigue.evaluation import METHODS, method_params
@@ -67,7 +66,6 @@ BY_TYPE = {
     int_list: _joined(INTS),
     float_list: _joined(FLOATS),
     iso_date: st.dates().map(dt.date.isoformat),
-    non_negative_int: st.integers(0, 2**70),
 }
 # flags that scale the work, held to small values
 BOUNDED = {

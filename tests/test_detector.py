@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
@@ -215,7 +216,8 @@ class TestKernelAgainstOracle:
     @pytest.mark.parametrize("kind", ["plain", "gapped", "flat"])
     def test_depth_one_rows_are_one_zero(self, kind, window):
         # why DetectorConfig refuses depth 1: it sees only this constant
-        rows = sc.batch_signature(pair_paths(walk_series(kind), window)[1], 1)
+        loops = pair_paths(walk_series(kind), window)[1]
+        rows = sc.batch_signature(loops.reshape(-1, window + 2, 2), 1)
         np.testing.assert_allclose(rows, np.tile([1.0, 0.0], (len(rows), 1)), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("feature_mode", ["full", "log"])
@@ -304,6 +306,37 @@ class TestPooledDistances:
         cfg = DetectorConfig(window=21)
         with pytest.raises(InsufficientDataError, match="has 40 observations"):
             detector._pooled_distances(mixed, cfg)
+
+
+@st.composite
+def pooled_case(draw):
+    """A window, a feature mode, two or more walk series of 2 * window to
+    200 observations, and a block of fewer loops than the longest has."""
+    window = draw(st.integers(2, 21))
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(["plain", "gapped", "flat"]), st.integers(2 * window, 200)),
+        min_size=2, max_size=6,
+    ))
+    longest = max(2 * (n - 2 * window + 1) for _, n in specs)
+    block_loops = draw(st.integers(1, longest - 1))
+    feature_mode = draw(st.sampled_from(["full", "log"]))
+    return window, feature_mode, specs, block_loops
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(pooled_case())
+def test_pooled_distances_equal_each_series_alone(case):
+    window, feature_mode, specs, block_loops = case
+    cfg = DetectorConfig(window=window, feature_mode=feature_mode)
+    series = [walk_series(kind, n=n, seed=k) for k, (kind, n) in enumerate(specs)]
+    alone = [distance_series(s, cfg) for s in series]
+    per_loop = 8 * (2**cfg.depth + 2 * (window + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        # pools split, and the longest series crosses a block boundary
+        patch.setattr(sc, "BLOCK_BYTES", per_loop * block_loops)
+        pooled = detector._pooled_distances(series, cfg)
+    assert [a.tobytes() for a in pooled] == [b.tobytes() for b in alone]
+
 
 def greedy_merge(dates, values, threshold, merge_gap):
     """Flags over ``threshold``, merged one flag object at a time."""

@@ -112,6 +112,24 @@ class TestTimeSeries:
             ("clicks", [2**64 + 5] * 3, "clicks must hold integers that fit int64"),
             ("cost", [True, False, True], "cost must hold integers or real numbers"),
             ("cost", ["1", "2", "3"], "cost must hold integers or real numbers"),
+            ("dates", [19000, 19001, 19002], "dates must hold datetime64 values or datetime"),
+            ("dates", [True, False, True], "dates must hold datetime64 values or datetime"),
+            ("dates", [1.5, 2.5, 3.5], "dates must hold datetime64 values or datetime"),
+            ("dates", ["2024-01-01", "2024-01-02", "x"], "dates must hold datetime64 values"),
+            ("dates", [dt.datetime(2024, 1, d, 23) for d in (1, 2, 3)], "dates must be whole days"),
+            (
+                "dates",
+                np.arange("2024-01-01T05", "2024-01-01T08", dtype="datetime64[h]"),
+                "dates must be whole days, got 2024-01-01T05",
+            ),
+            (
+                "dates",
+                np.array(["2024-01-01", "NaT", "2024-01-03"], dtype="datetime64[D]"),
+                "dates must be whole days, got NaT",
+            ),
+            ("dates", [*daily_dates(2), [START]], "dates must be a rectangular array"),
+            ("impressions", [[100, 100], [100], [100]], "impressions must be a rectangular array"),
+            ("cost", [1.0, [2.0, 3.0], 4.0], "cost must be a rectangular array"),
         ],
     )
     def test_rejects_columns_of_the_wrong_type(self, column, values, message):
@@ -133,6 +151,16 @@ class TestTimeSeries:
         with pytest.raises(InvalidInputError, match=f"^{message}"):
             TimeSeries(dates=daily_dates(len(rows)), impressions=impressions, clicks=clicks)
 
+    def test_whole_day_datetimes_are_days(self):
+        expected = np.array(daily_dates(3), dtype="datetime64[D]")
+        for dates in (
+            [dt.datetime.combine(d, dt.time()) for d in daily_dates(3)],
+            expected.astype("datetime64[h]"),
+        ):
+            series = TimeSeries(dates=dates, impressions=[100] * 3, clicks=[5] * 3)
+            assert series.dates.dtype == expected.dtype
+            assert np.array_equal(series.dates, expected)
+
     def test_columns_are_read_only(self):
         series = series_from_ctr([0.01, 0.02])
         with pytest.raises(ValueError):
@@ -151,13 +179,12 @@ def make_series(values, dates=None):
 
 def window_paths(series, window):
     """(boundary dates, left, right) from ``pair_paths``: the interiors of
-    its first P loops and of its last P, once every loop is checked to run
-    from (0, 0) to (1, 0)."""
+    its left loops and of its right ones, once every loop is checked to
+    run from (0, 0) to (1, 0)."""
     dates, loops = pair_paths(series, window)
-    n_pairs = len(dates)
-    assert loops.shape == (2 * n_pairs, window + 2, 2)
-    assert np.all(loops[:, 0] == [0.0, 0.0]) and np.all(loops[:, -1] == [1.0, 0.0])
-    return dates, loops[:n_pairs, 1:-1], loops[n_pairs:, 1:-1]
+    assert loops.shape == (2, len(dates), window + 2, 2)
+    assert np.all(loops[:, :, 0] == [0.0, 0.0]) and np.all(loops[:, :, -1] == [1.0, 0.0])
+    return dates, loops[0, :, 1:-1], loops[1, :, 1:-1]
 
 
 def cost_series(costs, dates=None):
