@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number, number_error
 from .sigcore import _block_paths, batch_signature
-from .windowing import SCHEMA_VERSION, TimeSeries, _record_dict, pair_paths
+from .windowing import SCHEMA_VERSION, TimeSeries, _pool_paths, _record_dict
 
 __all__ = [
     "DetectorConfig",
@@ -146,18 +146,18 @@ def _pooled_distances(series_list, cfg: DetectorConfig) -> list:
         size += n_loops
     out = []
     for pool in pools:
-        dates, loops = zip(*(pair_paths(series, cfg.window) for series in pool))
-        loops = np.concatenate(loops, axis=1)  # (side, pair, vertex, coordinate)
+        dates, loops = _pool_paths(pool, cfg.window)  # (side, pair, vertex, coordinate)
         features = batch_signature(
             loops.reshape(-1, cfg.window + 2, 2), cfg.depth, log=cfg.feature_mode == "log"
         )
         left, right = features.reshape(2, loops.shape[1], -1)
         diff = left - right
         points = np.empty(len(diff), dtype=DISTANCE_DTYPE)
-        points["date"] = np.concatenate(dates)
+        points["date"] = dates
         # vecdot rounds each row as row @ row does; test_distance_is_bit_equal_to_row_norm is the guard
         points["distance"] = np.sqrt(np.vecdot(diff, diff))
-        out.extend(np.split(points, np.cumsum([len(d) for d in dates[:-1]])))
+        n_pairs = [len(series) - 2 * cfg.window + 1 for series in pool[:-1]]
+        out.extend(np.split(points, np.cumsum(n_pairs)))
     return out
 
 
@@ -178,6 +178,28 @@ def _merge_flags(days, values, flagged, merge_gap: int) -> list:
     return sorted(emitted)
 
 
+def _moments(distances) -> tuple:
+    """(values, mean, std) of a distance series: the distances as one
+    contiguous array, and the mean and std every threshold is taken from."""
+    # a contiguous copy reduces exactly as the array of a fresh list did
+    values = np.ascontiguousarray(distances["distance"])
+    return values, float(values.mean()), float(values.std())  # population std: n = 1 gives 0
+
+
+def _kept_flags(distances, moments, threshold_k: float, merge_gap: int) -> tuple:
+    """(threshold, kept): the threshold mean + threshold_k * std of a
+    distance series with ``moments = _moments(distances)``, and the
+    indices, in date order, of the flags over it that survive merging
+    within ``merge_gap`` days."""
+    values, mean, std = moments
+    threshold = mean + threshold_k * std
+    flagged = np.flatnonzero(values > threshold)
+    if merge_gap == 0:  # dates strictly increase, so no two flags are 0 days apart
+        return threshold, flagged.tolist()
+    days = distances["date"].view(np.int64).tolist()
+    return threshold, _merge_flags(days, values, flagged, merge_gap)
+
+
 def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
     """Threshold a distance series and merge its flags into change points.
 
@@ -186,14 +208,10 @@ def flag_change_points(distances, cfg: DetectorConfig) -> tuple:
     distances; flags are merged within ``cfg.merge_gap`` days.
     Returns (mean, std, threshold, change points).
     """
-    # a contiguous copy reduces exactly as the array of a fresh list did
-    values = np.ascontiguousarray(distances["distance"])
-    mean = float(values.mean())
-    std = float(values.std())  # population form: deterministic for n = 1
-    threshold = mean + cfg.threshold_k * std
+    moments = _moments(distances)
+    values, mean, std = moments
+    threshold, kept = _kept_flags(distances, moments, cfg.threshold_k, cfg.merge_gap)
     dates = distances["date"]
-    flagged = np.flatnonzero(values > threshold)
-    kept = _merge_flags(dates.view(np.int64).tolist(), values, flagged, cfg.merge_gap)
     change_points = tuple(
         ChangePoint(date=dates[i].item(), distance=float(values[i]), threshold=threshold)
         for i in kept

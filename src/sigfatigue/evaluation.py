@@ -7,7 +7,11 @@ counts within the policy tolerance.  Delay is detected minus true, so
 negative values are early warnings.
 
 Corpus scores are pooled counts (micro averages); confidence intervals
-come from a seeded percentile bootstrap over series.  The signature
+come from a seeded percentile bootstrap over series.  Every interval is
+taken on one path: a (cells, series, 5) array of per-series counts, one
+(n_boot, series) index draw shared by every cell, each cell's
+resamples pooled by ``_rates`` and percentiles along the resample axis.
+``bootstrap_ci`` and ``evaluate_corpus`` are its one-cell case.  The signature
 method and the reference baselines share one harness: ``METHODS`` names
 them, ``method_params`` gives the parameters each reads with their
 defaults, and ``make_method`` builds each one's corpus callable, list
@@ -19,8 +23,9 @@ analyst-facing report feature.
 
 ``sensitivity_report`` sweeps the signature method over a parameter
 grid: it computes each series' distances once per (window, depth,
-feature_mode), on the same pooled path, and thresholds them for every
-threshold_k and merge_gap of the grid.
+feature_mode), on the same pooled path, takes their mean and std once,
+thresholds them for every threshold_k and merge_gap of the grid, and
+bootstraps every cell from the one shared draw.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import baselines
-from .detector import DetectorConfig, _pooled_distances, flag_change_points
+from .detector import DetectorConfig, _kept_flags, _moments, _pooled_distances
 from .errors import InvalidInputError, check_number
 from .windowing import _record_dict
 
@@ -188,25 +193,60 @@ def bootstrap_ci(scores, n_boot: int = N_BOOT, seed: int = 0) -> dict:
     if len(scores) < 2:
         raise InvalidInputError("bootstrap needs at least 2 series")
     _check_bootstrap(n_boot, seed)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(scores), size=(n_boot, len(scores)))
-    counts = np.array(
-        [[s.n_detected, s.n_true, s.n_matched, len(s.delays), sum(s.delays)] for s in scores]
+    return _bootstrap_cis(_counts([scores]), n_boot, seed)[0]
+
+
+def _counts(score_lists) -> np.ndarray:
+    """The (cells, series, 5) counts of equally long lists of per-series
+    scores: detected, true, matched, delays and their sum."""
+    return np.array(
+        [
+            [[s.n_detected, s.n_true, s.n_matched, len(s.delays), sum(s.delays)] for s in scores]
+            for scores in score_lists
+        ],
+        dtype=np.int64,
     )
-    detected, true, matched, n_delays, delay_sum = counts[idx].sum(axis=1).T
+
+
+def _bootstrap_cis(counts, n_boot: int, seed: int) -> list:
+    """``bootstrap_ci`` of each cell of a (cells, series, 5) ``_counts``
+    array, every cell resampled with the same series indices."""
+    n_series = counts.shape[1]
+    idx = np.random.default_rng(seed).integers(0, n_series, size=(n_boot, n_series))
+    # how often each resample draws each series, so its pooled counts are one product
+    draws = np.bincount(
+        (idx + n_series * np.arange(n_boot)[:, None]).ravel(), minlength=n_boot * n_series
+    ).reshape(n_boot, n_series)
+    detected, true, matched, n_delays, delay_sum = np.moveaxis(draws @ counts, -1, 0)
     precision, recall, f1, mean_delay = _rates(detected, true, matched, n_delays, delay_sum)
     lo_q, hi_q = 100 * (1 - CI_LEVEL) / 2, 100 * (1 + CI_LEVEL) / 2
     rates = ("precision", "recall", "f1")
-    out = dict.fromkeys((*rates, "mean_delay_days"))
-    if len(idx):
-        bounds = np.percentile(np.stack([precision, recall, f1]), [lo_q, hi_q], axis=1)
-        for name, (lo, hi) in zip(rates, bounds.T.tolist()):
-            out[name] = {"lo": lo, "hi": hi}
-    delays = mean_delay[n_delays > 0]
-    if delays.size:
-        lo, hi = np.percentile(delays, [lo_q, hi_q]).tolist()
-        out["mean_delay_days"] = {"lo": lo, "hi": hi}
+    if n_boot:  # (cell, rate, bound)
+        bounds = np.percentile(np.stack([precision, recall, f1], axis=1), [lo_q, hi_q], axis=2)
+        bounds = bounds.transpose(1, 2, 0).tolist()
+    out = []
+    for cell in range(len(counts)):
+        ci = dict.fromkeys((*rates, "mean_delay_days"))
+        if n_boot:
+            for name, (lo, hi) in zip(rates, bounds[cell]):
+                ci[name] = {"lo": lo, "hi": hi}
+        delays = mean_delay[cell][n_delays[cell] > 0]
+        if delays.size:
+            lo, hi = np.percentile(delays, [lo_q, hi_q]).tolist()
+            ci["mean_delay_days"] = {"lo": lo, "hi": hi}
+        out.append(ci)
     return out
+
+
+def _pooled_cells(score_lists, n_boot: int, seed: int) -> list:
+    """``pool_scores`` of each of equally long lists of per-series scores,
+    with bootstrap intervals, from one shared draw, when ``n_boot`` is 1
+    or more and there are 2 or more series."""
+    pooled = [pool_scores(scores) for scores in score_lists]
+    if n_boot < 1 or len(score_lists[0]) < 2:
+        return pooled
+    cis = _bootstrap_cis(_counts(score_lists), n_boot, seed)
+    return [replace(metrics, ci=ci) for metrics, ci in zip(pooled, cis)]
 
 
 def method_params(name: str) -> dict:
@@ -241,9 +281,11 @@ def _signature_config(params: dict) -> DetectorConfig:
     return DetectorConfig(**{**method_params("signature"), **params})
 
 
-def _flag_dates(distances, cfg: DetectorConfig) -> list:
-    _, _, _, change_points = flag_change_points(distances, cfg)
-    return [c.date for c in change_points]
+def _flag_dates(distances, moments, cfg: DetectorConfig) -> list:
+    """The dates of the change points ``flag_change_points(distances, cfg)``
+    returns, from ``moments = _moments(distances)``."""
+    _, kept = _kept_flags(distances, moments, cfg.threshold_k, cfg.merge_gap)
+    return distances["date"][kept].tolist()
 
 
 def make_method(name: str, **params):
@@ -253,7 +295,7 @@ def make_method(name: str, **params):
     if name == "signature":
         cfg = _signature_config(params)
         return lambda series_list: [
-            _flag_dates(d, cfg) for d in _pooled_distances(series_list, cfg)
+            _flag_dates(d, _moments(d), cfg) for d in _pooled_distances(series_list, cfg)
         ]
     # looked up on each call, so a wrapped baselines function is the one run
     return lambda series_list: [getattr(baselines, name)(s, **params) for s in series_list]
@@ -281,10 +323,7 @@ def evaluate_corpus(
             f"method returned {len(detections)} detection lists for {len(corpus)} series"
         )
     per_series = [score(d, item.truth_dates(), policy) for d, item in zip(detections, corpus)]
-    pooled = pool_scores(per_series)
-    with_ci = n_boot >= 1 and len(per_series) >= 2
-    ci = bootstrap_ci(per_series, n_boot=n_boot, seed=seed) if with_ci else None
-    return per_series, replace(pooled, ci=ci)
+    return per_series, _pooled_cells([per_series], n_boot, seed)[0]
 
 
 def sensitivity_report(
@@ -306,8 +345,12 @@ def sensitivity_report(
     ``distance_series`` reads only window, depth and feature_mode, so
     the cells that differ in nothing else share one distance series per
     corpus series.  A group's distance series come from pooled kernel
-    calls, each over as many whole series as fit one kernel block, and
-    are dropped before the next group's are computed.
+    calls, each over as many whole series as fit one kernel block.  Each
+    series' mean and std are taken once per group, and each cell applies
+    its own mean + threshold_k * std to them; a group's distances are
+    dropped before the next group's are computed.  The cells' bootstrap
+    intervals come from one index draw, shared by every cell, so each
+    row equals the ``evaluate_corpus`` call of its cell.
     """
     grid = DEFAULT_GRID if grid is None else grid
     if not (
@@ -326,16 +369,21 @@ def sensitivity_report(
     groups = {}
     for i, cfg in enumerate(configs):
         groups.setdefault((cfg.window, cfg.depth, cfg.feature_mode), []).append(i)
-    rows = [None] * len(cells)
     series = [item.series for item in corpus]
+    truths = [item.truth_dates() for item in corpus]
+    cell_scores = [None] * len(cells)
     for indices in groups.values():
         distances = _pooled_distances(series, configs[indices[0]])
+        moments = [_moments(d) for d in distances]
         for i in indices:
-            cfg = configs[i]
-            flags = [_flag_dates(d, cfg) for d in distances]
-            _, pooled = evaluate_corpus(corpus, lambda _: flags, policy, n_boot=n_boot, seed=seed)
-            row = {"window": cfg.window, "threshold_k": cfg.threshold_k, "depth": cfg.depth}
-            row.update((name, cells[i][name]) for name in names if name not in row)
-            rows[i] = {**row, **pooled.to_dict()}
-        del distances
+            cell_scores[i] = [
+                score(_flag_dates(d, m, configs[i]), truth, policy)
+                for d, m, truth in zip(distances, moments, truths)
+            ]
+        del distances, moments
+    rows = []
+    for cell, cfg, pooled in zip(cells, configs, _pooled_cells(cell_scores, n_boot, seed)):
+        row = {"window": cfg.window, "threshold_k": cfg.threshold_k, "depth": cfg.depth}
+        row.update((name, cell[name]) for name in names if name not in row)
+        rows.append({**row, **pooled.to_dict()})
     return rows

@@ -117,10 +117,16 @@ def _array(name, values) -> np.ndarray:
 def _date_column(values) -> np.ndarray:
     """A copy of ``values`` as a datetime64[D] column.  Dates must be
     datetime64 values or ``datetime.date`` objects, each a whole day; a
-    bool, number, string or time of day raises.  An empty column passes,
-    to be refused for its length."""
+    bool, number, string, time of day or time zone raises.  An empty
+    column passes, to be refused for its length."""
     column = _array("dates", values)
     if column.dtype.kind == "O" and all(isinstance(v, dt.date) for v in column.flat):
+        aware = [v for v in column.flat if getattr(v, "tzinfo", None) is not None]
+        if aware:
+            raise InvalidInputError(
+                f"dates must not carry a time zone, got {aware[0].isoformat()}: "
+                "the day a time falls on depends on the zone"
+            )
         column = column.astype("datetime64")
     if not column.size:
         return column.astype("datetime64[D]")
@@ -243,31 +249,58 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     the signature's translation invariance would drop, in the
     enclosed-area terms.
     """
+    return _pool_paths([series], window)
+
+
+def _joined(columns) -> np.ndarray:
+    """The columns end to end; a single column is returned uncopied."""
+    return columns[0] if len(columns) == 1 else np.concatenate(columns)
+
+
+def _pool_paths(series_list, window: int) -> tuple:
+    """``pair_paths`` of each series of ``series_list``, stacked along the
+    pair axis.
+
+    One pass builds the loops of every pair of the series laid end to
+    end; the pairs that straddle two series are then dropped, so the
+    result equals the per-series calls concatenated, bit for bit.  The
+    first series in order that is too short for two windows raises.
+    """
     check_number("window", window, 2, math.inf, integer=True)
-    n = len(series)
-    if n < 2 * window:
-        raise InsufficientDataError(
-            f"series has {n} observations but window={window} requires at least {2 * window}"
-        )
-    n_pairs = n - 2 * window + 1
-    pairs = sliding_window_view(series.metric_values(), 2 * window)  # (P, 2W) view
+    for series in series_list:
+        if len(series) < 2 * window:
+            raise InsufficientDataError(
+                f"series has {len(series)} observations but window={window} "
+                f"requires at least {2 * window}"
+            )
+    values = _joined([series.metric_values() for series in series_list])
+    dates = _joined([series.dates for series in series_list])
+    n_pairs = len(values) - 2 * window + 1  # straddling pairs included
+    pairs = sliding_window_view(values, 2 * window)  # (P, 2W) view
     lo = pairs.min(axis=1, keepdims=True)
     span = pairs.max(axis=1, keepdims=True) - lo
     # the zeros are the (0, 0) start vertices
     loops = np.zeros((2, n_pairs, window + 2, 2))
     points = loops[:, :, 1:-1]
-    with np.errstate(invalid="ignore"):
+    # a window that straddles two series may end no later than it starts
+    with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(pairs.reshape(-1, 2, window).swapaxes(0, 1) - lo, span, out=points[..., 1])
+        # each window is the left of one pair and the right of another: one time axis each
+        days = sliding_window_view((dates - dates[0]).astype(float), window)  # (T - W + 1, W) view
+        elapsed = days - days[:, :1]
+        t = elapsed / elapsed[:, -1:]
     # a constant pair is a flat line, kept inside the unit square
     points[:, span[:, 0] == 0, :, 1] = 0.5
-    # each window is the left of one pair and the right of another: one time axis each
-    days = sliding_window_view(series.day_offsets(), window)  # (T - W + 1, W) view
-    elapsed = days - days[:, :1]
-    t = elapsed / elapsed[:, -1:]
     points[0, ..., 0] = t[:n_pairs]
     points[1, ..., 0] = t[window:]
     loops[:, :, -1, 0] = 1.0  # the (1, 0) end vertices
-    return series.dates[window : window + n_pairs], loops
+    boundaries = dates[window : window + n_pairs]
+    if len(series_list) > 1:
+        counts = [len(series) - 2 * window + 1 for series in series_list]
+        # each seam between two series is crossed by 2*window - 1 pair starts
+        kept = np.arange(sum(counts)) + np.repeat(np.arange(len(counts)) * (2 * window - 1), counts)
+        loops, boundaries = loops[:, kept], boundaries[kept]
+    return boundaries, loops
 
 
 def read_series_csv(path, metric: str = "ctr") -> TimeSeries:

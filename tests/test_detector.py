@@ -19,7 +19,7 @@ from sigfatigue.detector import (
 from sigfatigue import detector, sigcore as sc
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
 from sigfatigue.synth import PATTERN_KINDS, generate_batch
-from sigfatigue.windowing import TimeSeries, pair_paths
+from sigfatigue.windowing import TimeSeries, _pool_paths, pair_paths
 
 from conftest import START, daily_dates, series_from_ctr, sharp_drop_ctrs
 from oracle_utils import chen_fold, full_log_levels, log_signature, sig_distance
@@ -338,6 +338,56 @@ def test_pooled_distances_equal_each_series_alone(case):
     assert [a.tobytes() for a in pooled] == [b.tobytes() for b in alone]
 
 
+def pair_loops_oracle(series, window):
+    """(boundary dates, loops) as ``pair_paths`` gives them, built one pair
+    and one window at a time from the loop's definition."""
+    dates = series.dates.tolist()
+    metric = series.metric_values()
+    n_pairs = len(dates) - 2 * window + 1
+    loops = np.zeros((2, n_pairs, window + 2, 2))
+    loops[:, :, -1, 0] = 1.0
+    for i in range(n_pairs):
+        values = metric[i : i + 2 * window]
+        lo, hi = values.min(), values.max()
+        y = np.full(2 * window, 0.5) if hi == lo else (values - lo) / (hi - lo)
+        for side in (0, 1):
+            half = slice(i + side * window, i + (side + 1) * window)
+            elapsed = np.array([(d - dates[half][0]).days for d in dates[half]], float)
+            loops[side, i, 1:-1, 0] = elapsed / elapsed[-1]
+            loops[side, i, 1:-1, 1] = y[side * window : (side + 1) * window]
+    return series.dates[window : window + n_pairs], loops
+
+
+@st.composite
+def pool_split_case(draw):
+    """A window, one to six walk series of 2 * window to 2 * window + 40
+    observations, and the cut points that split them into pools."""
+    window = draw(st.integers(2, 21))
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(["plain", "gapped", "flat"]), st.integers(0, 40)),
+        min_size=1, max_size=6,
+    ))
+    cuts = draw(st.sets(st.integers(1, max(1, len(specs) - 1)), max_size=len(specs) - 1))
+    return window, specs, sorted(cuts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pool_split_case())
+def test_pooled_loops_equal_per_series_oracle(case):
+    window, specs, cuts = case
+    series = [walk_series(kind, 2 * window + extra, k) for k, (kind, extra) in enumerate(specs)]
+    oracle = [pair_loops_oracle(s, window) for s in series]
+    dates = np.concatenate([d for d, _ in oracle])
+    loops = np.concatenate([l for _, l in oracle], axis=1)
+    bounds = [0, *cuts, len(series)]
+    pools = [_pool_paths(series[a:b], window) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert np.concatenate([d for d, _ in pools]).tobytes() == dates.tobytes()
+    assert np.concatenate([l for _, l in pools], axis=1).tobytes() == loops.tobytes()
+    for s, (d, l) in zip(series, oracle):  # each one-series pool
+        one_dates, one_loops = pair_paths(s, window)
+        assert one_dates.tobytes() == d.tobytes() and one_loops.tobytes() == l.tobytes()
+
+
 def greedy_merge(dates, values, threshold, merge_gap):
     """Flags over ``threshold``, merged one flag object at a time."""
     flags = [(d, v) for d, v in zip(dates, values) if v > threshold]
@@ -364,6 +414,29 @@ def test_flag_change_points_matches_greedy_merge(seed):
         dates, values.tolist(), threshold, cfg.merge_gap
     )
     assert all(c.threshold == threshold for c in change_points)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 5)), min_size=1, max_size=80),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+def test_gap_zero_keeps_what_merging_keeps(steps_and_levels, threshold_k):
+    steps, levels = zip(*steps_and_levels)
+    distances = np.empty(len(steps), dtype=detector.DISTANCE_DTYPE)
+    distances["date"] = [START + dt.timedelta(days=int(d)) for d in np.cumsum(steps)]
+    distances["distance"] = np.array(levels) / 4.0  # coarse values, so ties are common
+    mean, std, threshold, change_points = flag_change_points(
+        distances, DetectorConfig(threshold_k=threshold_k, merge_gap=0)
+    )
+    values = distances["distance"]
+    assert threshold == mean + threshold_k * std
+    kept = detector._merge_flags(
+        distances["date"].view(np.int64).tolist(), values, np.flatnonzero(values > threshold), 0
+    )
+    assert [(c.date, c.distance) for c in change_points] == [
+        (distances["date"][i].item(), float(values[i])) for i in kept
+    ]
 
 
 class TestDetect:

@@ -22,7 +22,7 @@ from sigfatigue.evaluation import (
     sensitivity_report,
 )
 from sigfatigue.synth import PATTERN_KINDS, generate_batch
-from sigfatigue.windowing import pair_paths
+from sigfatigue.windowing import _pool_paths
 
 
 D = dt.date
@@ -273,6 +273,18 @@ class TestPoolAndBootstrap:
             assert bootstrap_ci(scores, n_boot=n_boot, seed=seed) == expected
 
 
+    @pytest.mark.parametrize("n_boot", [0, 1, 2, 100])
+    @pytest.mark.parametrize("level", [0.9, 0.95])
+    def test_stacked_cells_equal_pool_scores_loop(self, monkeypatch, level, n_boot):
+        monkeypatch.setattr(evaluation, "CI_LEVEL", level)
+        two = [BOOTSTRAP_CASES[c] for c in ("no_detections", "no_truth", "no_delays")]
+        four = [BOOTSTRAP_CASES["mixed"], *(_random_scores(seed, 4) for seed in range(10, 14))]
+        for cells in (two + [_random_scores(3, 2)], four):
+            for seed in (0, 7):
+                stacked = evaluation._bootstrap_cis(evaluation._counts(cells), n_boot, seed)
+                assert stacked == [loop_bootstrap_ci(c, n_boot, level, seed) for c in cells]
+
+
 def detect_oracle(cfg):
     """A corpus callable that runs ``detect`` on each series alone."""
     return lambda series_list: [[c.date for c in detect(s, cfg).change_points] for s in series_list]
@@ -468,22 +480,24 @@ class TestDistanceReuse:
         return [dict(zip(names, vals)) for vals in itertools.product(*(grid[n] for n in names))]
 
     def test_default_sweep_computes_each_distance_series_once(self, monkeypatch, corpus):
-        windows, kernel_rows = [], []
+        pooled, kernel_rows = [], []
 
-        def pairing(series, window):
-            windows.append((id(series), window))
-            return pair_paths(series, window)
+        def pooling(series_list, window):
+            pooled.extend((id(series), window) for series in series_list)
+            return _pool_paths(series_list, window)
 
         def kernel(paths, depth, log=False):
             kernel_rows.append(len(paths))
             return sc.batch_signature(paths, depth, log=log)
 
-        monkeypatch.setattr(detector, "pair_paths", pairing)
+        monkeypatch.setattr(detector, "_pool_paths", pooling)
         monkeypatch.setattr(detector, "batch_signature", kernel)
         assert len(corpus) == 7
         sensitivity_report(corpus, n_boot=10)
-        # each series' loops once per window, in one pooled kernel call per window
-        assert len(windows) == 21 and len(set(windows)) == 21
+        # each series in exactly one pool per window, in one pooled kernel call per window
+        assert len(pooled) == 21 and set(pooled) == {
+            (id(item.series), w) for item in corpus for w in (7, 14, 21)
+        }
         assert kernel_rows == [
             sum(2 * (len(item.series) - 2 * w + 1) for item in corpus) for w in (7, 14, 21)
         ]
@@ -514,6 +528,34 @@ class TestDistanceReuse:
             expected.append({**{k: cell[k] for k in keys}, **pooled.to_dict()})
         assert rows == expected
         assert all(tuple(row)[: len(keys)] == keys for row in rows)
+
+    @pytest.mark.parametrize("master_seed", range(5000, 5010))
+    def test_rows_equal_per_cell_evaluation_on_seeded_corpora(self, master_seed):
+        corpus = generate_batch(
+            list(PATTERN_KINDS), 1, master_seed=master_seed, overrides={"duration_days": 120}
+        )
+        grid = {
+            "window": [7, 14], "threshold_k": [1.5, 2.5],
+            "merge_gap": [0, 5], "feature_mode": ["full", "log"],
+        }
+        seed = master_seed % 7
+        rows = sensitivity_report(corpus, grid, n_boot=20, seed=seed)
+        assert len(rows) == len(self._cells(grid))
+        for row, cell in zip(rows, self._cells(grid)):
+            per_series, pooled = evaluate_corpus(
+                corpus, make_method("signature", **cell), n_boot=20, seed=seed
+            )
+            assert row == {**cell, "depth": 3, **pooled.to_dict()}
+            assert row["ci"] == loop_bootstrap_ci(per_series, 20, evaluation.CI_LEVEL, seed)
+
+    def test_one_series_corpus_rows_carry_no_ci(self, corpus):
+        rows = sensitivity_report(corpus[:1], self.GRID, n_boot=20)
+        expected = [
+            evaluate_corpus(corpus[:1], make_method("signature", **cell), n_boot=20)[1].to_dict()
+            for cell in self._cells(self.GRID)
+        ]
+        assert [{k: v for k, v in row.items() if k not in self.GRID} for row in rows] == expected
+        assert all("ci" not in row for row in rows)
 
     def test_grid_search_rows_equal_per_cell_evaluation(self, corpus):
         grid, policy = self.GRID, MatchPolicy(2)

@@ -1,4 +1,5 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,17 @@ class TestTimeSeries:
             series = TimeSeries(dates=dates, impressions=[100] * 3, clicks=[5] * 3)
             assert series.dates.dtype == expected.dtype
             assert np.array_equal(series.dates, expected)
+
+    @pytest.mark.parametrize("hours", [0, 2])
+    def test_time_zone_aware_dates_refused(self, hours):
+        # numpy would cast them to UTC with a warning: midnight UTC+2 falls on the day before
+        tz = dt.timezone(dt.timedelta(hours=hours))
+        dates = [START, *(dt.datetime(2024, 1, d, tzinfo=tz) for d in (2, 3))]
+        message = rf"^dates must not carry a time zone, got 2024-01-02T00:00:00\+0{hours}:00: "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=message):
+                TimeSeries(dates=dates, impressions=[100] * 3, clicks=[5] * 3)
 
     def test_columns_are_read_only(self):
         series = series_from_ctr([0.01, 0.02])
