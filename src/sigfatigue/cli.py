@@ -11,6 +11,10 @@ Subcommands:
 Exit codes: 0 success, 2 invalid arguments or malformed input, 3 series
 too short for the requested analysis.  All outputs are deterministic
 given identical flags and seeds.
+
+Every JSON document is written by ``_dump_json``, which walks records,
+dates and tuples into JSON and stamps ``SCHEMA_VERSION``; ``_load_corpus``
+checks that stamp on every manifest it reads.
 """
 
 from __future__ import annotations
@@ -51,11 +55,14 @@ from .synth import (
     generate_batch,
 )
 from .wastage import compute_wastage
-from .windowing import SCHEMA_VERSION, read_series_csv, write_series_csv
+from .windowing import _json_value, read_series_csv, write_series_csv
+
+SCHEMA_VERSION = 1  # of every JSON document written and manifest read
 
 
-def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _dump_json(payload: dict, path: str | None) -> None:
+    document = _json_value({**payload, "schema_version": SCHEMA_VERSION})
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -74,14 +81,8 @@ def _write_table(rows, columns, path: str) -> None:
 
 
 def _manifest(item: GeneratedSeries) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spec": item.spec.to_dict(),
-        "ground_truth": {
-            "change_days": list(item.truth.change_days),
-            "change_dates": [d.isoformat() for d in item.truth_dates()],
-        },
-    }
+    truth = {"change_days": item.truth.change_days, "change_dates": item.truth_dates()}
+    return {"spec": item.spec, "ground_truth": truth}
 
 
 # The detector and method flags, dest -> (argparse keywords, the parameter
@@ -253,6 +254,9 @@ def _load_corpus(directory: str) -> list:
     for mpath in manifests:
         try:
             data = json.loads(mpath.read_text(encoding="utf-8"))
+            version = data["schema_version"]
+            if type(version) is not int or version != SCHEMA_VERSION:
+                raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
             spec = PatternSpec(
                 **{**data["spec"], "start_date": iso_date(data["spec"]["start_date"])}
             )
@@ -300,19 +304,11 @@ def cmd_detect(args) -> int:
     series = read_series_csv(args.input, metric=args.metric)
     if args.method != "signature":
         dates = make_method(args.method, **params)([series])[0]
-        _dump_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "method": args.method,
-                "params": params,
-                "change_points": [{"date": d.isoformat()} for d in dates],
-            },
-            args.out,
-        )
+        points = [{"date": d} for d in dates]
+        _dump_json({"method": args.method, "params": params, "change_points": points}, args.out)
         return 0
     report = detect(series, DetectorConfig(**params))
-    payload = {"method": "signature", **report.to_dict()}
-    _dump_json(payload, args.out)
+    _dump_json({"method": "signature", **report.to_dict()}, args.out)
     if args.plot:
         svg = report_svg(series, report, title=Path(args.input).stem)
         Path(args.plot).write_text(svg, encoding="utf-8")
@@ -341,12 +337,11 @@ def cmd_evaluate(args) -> int:
         corpus, make_method(args.method, **params), policy, seed=args.seed
     )
     result = {
-        "schema_version": SCHEMA_VERSION,
         "method": args.method,
         "params": params,
         "tolerance_days": args.tolerance,
         "n_series": len(corpus),
-        "metrics": pooled.to_dict(),
+        "metrics": pooled,
     }
     _dump_json(result, args.out)
     return 0
@@ -362,7 +357,7 @@ def cmd_sweep(args) -> int:
         n_boot=args.bootstrap,
         seed=args.seed,
     )
-    _dump_json({"schema_version": SCHEMA_VERSION, "rows": rows}, args.out)
+    _dump_json({"rows": rows}, args.out)
     if args.csv:
         _write_table(rows, [c for c in rows[0] if c != "ci"], args.csv)
     return 0

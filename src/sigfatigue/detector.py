@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number, number_error
 from .sigcore import _block_paths, batch_signature
-from .windowing import SCHEMA_VERSION, TimeSeries, _pool_paths, _record_dict
+from .windowing import TimeSeries, _pool_paths, _record_dict
 
 __all__ = [
     "DetectorConfig",
@@ -114,7 +114,7 @@ class ChangePointReport:
     segments: tuple
 
     def to_dict(self) -> dict:
-        return {**_record_dict(self), "schema_version": SCHEMA_VERSION}
+        return _record_dict(self)
 
 
 def distance_series(series: TimeSeries, cfg: DetectorConfig) -> np.ndarray:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,16 +89,11 @@ class EvalMetrics:
     n_detected: int
     n_true: int
     n_matched: int
-    delays: tuple = ()
-    ci: dict | None = None
+    delays: tuple = field(default=(), metadata={"written": False})
+    ci: dict | None = field(default=None, metadata={"written": "if set"})
 
     def to_dict(self) -> dict:
-        """The metrics without ``delays``, and without ``ci`` when unset."""
-        out = _record_dict(self)
-        del out["delays"]
-        if self.ci is None:
-            del out["ci"]
-        return out
+        return _record_dict(self)
 
 
 def match_detections(detected, truth, policy: MatchPolicy = MatchPolicy()) -> list:

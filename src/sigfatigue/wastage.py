@@ -16,7 +16,7 @@ import numpy as np
 
 from .detector import Segment
 from .errors import ConfigurationError, InvalidInputError, number_error
-from .windowing import SCHEMA_VERSION, TimeSeries, _record_dict
+from .windowing import TimeSeries, _record_dict
 
 __all__ = [
     "WastageReport",
@@ -43,9 +43,9 @@ class WastageReport:
     total_wastage: float
 
     def to_dict(self) -> dict:
-        """The report's fields; ``benchmark`` is summarised by its span,
-        trend and mean metric."""
-        out = {**_record_dict(self), "schema_version": SCHEMA_VERSION}
+        """The report's fields; ``benchmark`` is summarised by hand, by its
+        span, trend and mean metric, for this report alone."""
+        out = _record_dict(self)
         summary = ("start_date", "end_date", "trend", "mean_metric")
         out["benchmark"] = {key: out["benchmark"][key] for key in summary}
         return out

@@ -14,8 +14,8 @@ trailing ``cost`` column filled on every row, ISO-8601 dates, one row
 per day.  Days with zero impressions have no defined click-through rate
 and are dropped at ingestion with a warning.
 
-Every module imports this one, so it also holds the reports' schema
-version and the walk every report's ``to_dict`` is built from.
+Every module imports this one, so it also holds the walk from records to
+JSON values that every ``to_dict`` and every written document go through.
 """
 
 from __future__ import annotations
@@ -43,25 +43,34 @@ HEADER = ("date", "impressions", "clicks", "cost")  # of the CSV; cost is option
 # squared and summed over the ~3.65e6 days a date column can hold, a cost
 # analysed as the metric stays finite up to this bound
 MAX_COST_METRIC = 1e150
-SCHEMA_VERSION = 1  # of every JSON report and manifest
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 def _record_dict(record) -> dict:
     """A dataclass record's fields in declaration order, as JSON values.
 
-    A date is written as its ISO string, a tuple as a list, a nested
-    record as its dict and a structured array as ``_array_dicts(array)``;
-    any other value is passed through as it is.
+    A field's ``metadata["written"]`` says when it is written: always
+    when absent, only when not None when ``"if set"``, never when False.
     """
-    return {field.name: _json_value(getattr(record, field.name)) for field in fields(record)}
+    out = {}
+    for field in fields(record):
+        value, written = getattr(record, field.name), field.metadata.get("written", True)
+        if written and (written != "if set" or value is not None):
+            out[field.name] = _json_value(value)
+    return out
 
 
 def _json_value(value):
+    """``value`` as a JSON value: a date is written as its ISO string, a
+    tuple or list as a list and a dict as a dict, their items walked in
+    turn, a record as ``_record_dict(record)`` and a structured array as
+    ``_array_dicts(array)``; any other value is passed through as it is."""
     if isinstance(value, dt.date):
         return value.isoformat()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
     if isinstance(value, np.ndarray):
         return _array_dicts(value)
     return _record_dict(value) if is_dataclass(value) else value

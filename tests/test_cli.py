@@ -11,7 +11,11 @@ import pytest
 import sigfatigue
 from sigfatigue import cli, detector, evaluation
 from sigfatigue.cli import SPEC_FLAGS, _dump_json, build_parser, main
-from sigfatigue.evaluation import METHODS
+from sigfatigue.detector import detect
+from sigfatigue.evaluation import METHODS, score
+from sigfatigue.synth import PatternSpec
+from sigfatigue.wastage import compute_wastage
+from sigfatigue.windowing import read_series_csv
 
 
 def run(argv):
@@ -399,6 +403,33 @@ def test_json_output_is_strict(tmp_path):
         _dump_json({"total_wastage": float("nan")}, str(tmp_path / "x.json"))
 
 
+def test_every_document_is_stamped_by_the_writer(tmp_path):
+    """Each of the six document kinds carries the int schema_version 1,
+    stamped when it is written: no record's to_dict holds it."""
+    csv_path, manifest_path = gen_fixture(tmp_path)
+    corpus = str(csv_path.parent)
+    commands = {
+        "detect": ["detect", str(csv_path)],
+        "baseline detect": ["detect", str(csv_path), "--method", "ma_crossover"],
+        "wastage": ["wastage", str(csv_path), "--cpc", "1.0"],
+        "evaluate": ["evaluate", "--corpus", corpus],
+        "sweep": ["sweep", "--corpus", corpus, "--bootstrap", "0"],
+    }
+    documents = {"manifest": json.loads(manifest_path.read_text())}
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        documents[name] = json.loads(out.read_text())
+    versions = {name: doc["schema_version"] for name, doc in documents.items()}
+    assert versions == dict.fromkeys(documents, 1)
+    assert all(type(v) is int for v in versions.values())
+    series = read_series_csv(csv_path)
+    report = detect(series)
+    records = [report, compute_wastage(series, report.segments, cpc=1.0), score([], []),
+               PatternSpec(kind="sharp_drop")]
+    assert not [r for r in records if "schema_version" in r.to_dict()]
+
+
 def test_cpc_must_be_finite(tmp_path, capsys):
     csv_path, _ = gen_fixture(tmp_path)
     assert run(["wastage", str(csv_path), "--cpc", "nan"]) == 2
@@ -469,9 +500,10 @@ def test_detect_loads_scipy_special(tmp_path):
 # an existing file, {missing} a path that does not exist, {latin1} a CSV
 # with a byte that is not UTF-8, {truncated} and {specless} corpora with
 # one broken manifest, {farday}, {infday} and {fracday} corpora whose one
-# truth day is past the series, infinite or fractional, {empty} a
-# directory with no manifest and {csvless} one whose manifest has no
-# series file.
+# truth day is past the series, infinite or fractional, {versionless},
+# {v2}, {true} and {float} corpora whose manifest has no schema_version,
+# version 2, true or 1.0, {empty} a directory with no manifest and
+# {csvless} one whose manifest has no series file.
 BAD_INVOCATIONS = [
     ["sweep", "--pattern", "sharp_drop", "--windows", "abc"],
     ["generate", "--pattern", "sharp_drop", "--change-days", "x,y", "--out", "{missing}"],
@@ -505,6 +537,10 @@ BAD_INVOCATIONS = [
     ["evaluate", "--corpus", "{infday}"],
     ["sweep", "--corpus", "{infday}"],
     ["evaluate", "--corpus", "{fracday}"],
+    ["evaluate", "--corpus", "{versionless}"],
+    ["sweep", "--corpus", "{v2}"],
+    ["evaluate", "--corpus", "{true}"],
+    ["sweep", "--corpus", "{float}"],
     ["detect", "{csv}", "--metric", "cpm"],
     ["detect", "{csv}", "--depth", "1"],
     ["wastage", "{csv}", "--cpc", "1.0", "--depth", "1"],
@@ -537,11 +573,16 @@ def bad_inputs(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     # a change day past the last date generate could have written
     farday = json.dumps({**manifest, "ground_truth": {"change_days": [3_000_000]}})
+    stamped = [(name, json.dumps({**manifest, "schema_version": v}))
+               for name, v in [("v2", 2), ("true", True), ("float", 1.0)]]
+    del manifest["schema_version"]
+    versionless = json.dumps(manifest)
     del manifest["spec"]
     for name, text in [("truncated", manifest_path.read_text()[:40]),
                        ("specless", json.dumps(manifest)),
                        ("farday", farday), ("infday", farday.replace("3000000", "1e400")),
-                       ("fracday", farday.replace("3000000", "61.5"))]:
+                       ("fracday", farday.replace("3000000", "61.5")),
+                       ("versionless", versionless), *stamped]:
         paths[name] = tmp_path / name
         paths[name].mkdir()
         (paths[name] / "s.csv").write_bytes(csv_path.read_bytes())

@@ -758,7 +758,6 @@ class TestSegmentSeries:
 def test_report_serialization_shape(sharp_series):
     report = detect(sharp_series, DetectorConfig(window=14, threshold_k=1.5))
     data = report.to_dict()
-    assert data["schema_version"] == 1
     assert data["threshold"] == data["mean_distance"] + 1.5 * data["std_distance"]
     assert len(data["distances"]) == 93
     assert data["segments"][0]["trend"] in ("improving", "declining", "stable")

@@ -192,6 +192,5 @@ class TestComputeWastage:
     def test_report_serializes(self):
         report = compute_wastage(self.build(), self.segments(), cpc=1.25)
         data = report.to_dict()
-        assert data["schema_version"] == 1
         assert data["total_wastage"] == report.total_wastage
         assert len(data["daily"]) == 30
