@@ -24,7 +24,11 @@ products.  Every function is pure.
 ``batch_signature`` is the kernel: a Chen fold (and truncated log) that
 walks the segments in order, each step vectorised over a whole block of
 paths, with blocks sized by ``BLOCK_BYTES``; its rows do not depend on
-the split.  The readable specification it is tested against -- the
+the split.  The batch is the last axis of every work array.  A block is
+padded to a multiple of 16 paths, so each work row starts on a 64-byte
+cache line of one allocation, and it runs with numpy's ufunc buffer as
+wide as a row, so broadcast operands are not copied through the buffer.
+The readable specification it is tested against -- the
 ``TensorSeq`` algebra of segment exponentials, Chen products and tensor
 log/exp -- lives with the test oracles in ``tests/oracle_utils.py``.
 """
@@ -50,8 +54,8 @@ BLOCK_BYTES = 1024 * 1024
 # glibc's malloc serves requests below its mmap threshold from the heap, and
 # returns a free heap top to the system once it exceeds twice that
 # threshold; freeing an mmap'd block raises the threshold to its size.  A
-# call on one block of planar paths peaks at 2.4 * BLOCK_BYTES (depth 3) to
-# 11 * BLOCK_BYTES (depth-8 log signatures), so under the default 128 KiB
+# call on one block of planar paths peaks at 1.6 * BLOCK_BYTES (depth 3) to
+# 10.7 * BLOCK_BYTES (depth-8 log signatures), so under the default 128 KiB
 # threshold each call would fault its temporaries in afresh.  Freeing one
 # 8 * BLOCK_BYTES block here keeps them on the heap.
 np.empty(8 * BLOCK_BYTES, dtype=np.uint8)
@@ -67,7 +71,7 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] * b[None, :]).reshape(-1, *a.shape[1:])
 
 
-def _signature_levels(paths: np.ndarray, depth: int) -> list:
+def _signature_levels(paths: np.ndarray, depth: int, width: int) -> list:
     """Chen fold over a batch: level k of each path of ``paths`` (B, n, d)
     as a (d**k, B) array.
 
@@ -77,21 +81,33 @@ def _signature_levels(paths: np.ndarray, depth: int) -> list:
     incr_k = pow_k + sum_{j=1..k-1} L_{k-j} (x) pow_j,
     summed in that j order.  Levels are updated from the top down, so
     each incr_k reads the lower levels as they were before the segment.
+
+    The work arrays are (rows, width) views of one allocation whose rows
+    start on 64-byte lines; ``width`` is B padded to a multiple of 16, and
+    the padding paths have zero increments and are sliced off.
     """
-    deltas = np.diff(np.ascontiguousarray(paths.transpose(1, 2, 0)), axis=0)  # (m, d, B)
-    _, dim, batch = deltas.shape
-    levels = [np.zeros((dim**k, batch)) for k in range(1, depth + 1)]
-    pows = [np.empty((dim**j, batch)) for j in range(1, depth + 1)]
-    prod = np.empty((dim**depth, batch))
-    incr = np.empty((dim**depth, batch))
+    vertices = paths.transpose(1, 2, 0)  # (n, d, B), a view
+    n, dim, batch = vertices.shape
+    sizes = [dim**k for k in range(1, depth + 1)]
+    rows = np.cumsum([(n - 1) * dim, sum(sizes), sum(sizes), dim**depth, dim**depth])
+    raw = np.empty(rows[-1] * width + 7)
+    skip = -raw.__array_interface__["data"][0] % 64 // 8
+    work = raw[skip : skip + rows[-1] * width].reshape(-1, width)
+    deltas, levels, pows, prod, incr, _ = np.split(work, rows)
+    deltas = deltas.reshape(n - 1, dim, width)
+    np.subtract(vertices[1:], vertices[:-1], out=deltas[..., :batch])  # np.diff's op
+    deltas[..., batch:] = 0.0
+    levels[...] = 0.0
+    levels = np.split(levels, np.cumsum(sizes[:-1]))
+    pows = np.split(pows, np.cumsum(sizes[:-1]))
     # each operand and output view is made once, so a segment runs ufuncs only
     pow_steps = [  # pow_j = (pow_{j-1} (x) delta) / j
-        (pows[j - 2][:, None], pows[j - 1].reshape(-1, dim, batch), pows[j - 1], j)
+        (pows[j - 2][:, None], pows[j - 1].reshape(-1, dim, width), pows[j - 1], j)
         for j in range(2, depth + 1)
     ]
     level_steps = [  # incr_k = pow_k + sum_j L_{k-j} (x) pow_j, then L_k += incr_k
         (levels[k - 1], pows[k - 1], incr[: dim**k], prod[: dim**k], [
-            (levels[k - j - 1][:, None], pows[j - 1], prod[: dim**k].reshape(-1, dim**j, batch))
+            (levels[k - j - 1][:, None], pows[j - 1], prod[: dim**k].reshape(-1, dim**j, width))
             for j in range(1, k)
         ])
         for k in range(depth, 0, -1)
@@ -110,7 +126,7 @@ def _signature_levels(paths: np.ndarray, depth: int) -> list:
                 level += inc
             else:
                 level[...] = inc
-    return levels
+    return [level[:, :batch] for level in levels]
 
 
 def _log_levels(levels: list) -> list:
@@ -121,7 +137,7 @@ def _log_levels(levels: list) -> list:
     built nor added.
     """
     depth = len(levels)
-    acc = [lev.copy() for lev in levels]
+    acc = list(levels)  # each sum is a new array, so the levels are not copied
     power = levels
     for n in range(2, depth + 1):
         power = [None] * (n - 1) + [
@@ -155,7 +171,10 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
     same however B splits.
     """
     check_number("depth", depth, 1, math.inf, integer=True)
-    paths = np.asarray(paths, dtype=float)
+    paths = np.asarray(paths)
+    if paths.dtype.kind == "c":
+        raise InvalidInputError("paths must be real")
+    paths = paths.astype(float, copy=False)
     if paths.ndim != 3 or paths.shape[1] < 2 or paths.shape[2] < 1:
         raise InvalidInputError("paths must be a (B, n>=2, d>=1) array of vertices")
     _, n, dim = paths.shape
@@ -165,10 +184,17 @@ def batch_signature(paths, depth: int, log: bool = False) -> np.ndarray:
         rows = slice(start, start + block)
         if not np.all(np.isfinite(paths[rows])):
             raise InvalidInputError("path vertices must be finite")
-        levels = _signature_levels(paths[rows], depth)
-        if log:
-            levels = _log_levels(levels)
-        out[rows] = np.concatenate(levels).T
+        # 16 paths are two cache lines of floats, and a multiple of 16 is a
+        # valid ufunc buffer size
+        width = -(-len(paths[rows]) // 16) * 16
+        # with a buffer as wide as a row, broadcast operands run unbuffered;
+        # elementwise results do not depend on it, and no float reduction
+        # runs in this scope, where it could re-block a pairwise sum
+        with np.errstate():
+            np.setbufsize(width)
+            levels = _signature_levels(paths[rows], depth, width)
+            np.concatenate(_log_levels(levels) if log else levels, out=out[rows].T)
+            del levels  # frees this block's work before the next block's
     return out
 
 

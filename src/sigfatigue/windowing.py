@@ -249,8 +249,11 @@ def pair_paths(series: TimeSeries, window: int) -> tuple:
     (right), and its boundary date is the date of the first observation
     of the right window.  Returns (boundary dates, loops), with loops a
     (2, P, window + 2, 2) array whose axes are side (left, right), pair,
-    vertex and coordinate.  Each loop runs from (0, 0) through its
-    window's points to (1, 0): time, mapped to [0, 1] over the window by
+    vertex and coordinate.  It is a transposed view of a (vertex,
+    coordinate, side, pair) buffer, so ``loops.reshape(-1, window + 2,
+    2)`` is a view and its ``transpose(1, 2, 0)``, the batch-last layout
+    the kernel folds, is contiguous.  Each loop runs from (0, 0) through
+    its window's points to (1, 0): time, mapped to [0, 1] over the window by
     elapsed days so calendar gaps survive, against the metric, min-max
     scaled over the pair's two windows (constant pairs pinned to 0.5).
     The shared scale lets the signature comparison see level shifts
@@ -285,31 +288,32 @@ def _pool_paths(series_list, window: int) -> tuple:
     values = _joined([series.metric_values() for series in series_list])
     dates = _joined([series.dates for series in series_list])
     n_pairs = len(values) - 2 * window + 1  # straddling pairs included
-    pairs = sliding_window_view(values, 2 * window)  # (P, 2W) view
-    lo = pairs.min(axis=1, keepdims=True)
-    span = pairs.max(axis=1, keepdims=True) - lo
+    pairs = sliding_window_view(values, 2 * window).T  # (2W, P) view
+    lo = pairs.min(axis=0)
+    span = pairs.max(axis=0) - lo
+    # (vertex, coordinate, side, pair), pairs last as the kernel reads them;
     # the zeros are the (0, 0) start vertices
-    loops = np.zeros((2, n_pairs, window + 2, 2))
-    points = loops[:, :, 1:-1]
+    buffer = np.zeros((window + 2, 2, 2, n_pairs))
+    points = buffer[1:-1]
     # a window that straddles two series may end no later than it starts
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(pairs.reshape(-1, 2, window).swapaxes(0, 1) - lo, span, out=points[..., 1])
+        np.divide(pairs.reshape(2, window, -1).swapaxes(0, 1) - lo, span, out=points[:, 1])
         # each window is the left of one pair and the right of another: one time axis each
-        days = sliding_window_view((dates - dates[0]).astype(float), window)  # (T - W + 1, W) view
-        elapsed = days - days[:, :1]
-        t = elapsed / elapsed[:, -1:]
+        days = sliding_window_view((dates - dates[0]).astype(float), window).T  # (W, T - W + 1) view
+        elapsed = days - days[:1]
+        t = elapsed / elapsed[-1]
     # a constant pair is a flat line, kept inside the unit square
-    points[:, span[:, 0] == 0, :, 1] = 0.5
-    points[0, ..., 0] = t[:n_pairs]
-    points[1, ..., 0] = t[window:]
-    loops[:, :, -1, 0] = 1.0  # the (1, 0) end vertices
+    points[:, 1, :, span == 0] = 0.5
+    points[:, 0, 0] = t[:, :n_pairs]
+    points[:, 0, 1] = t[:, window:]
+    buffer[-1, 0] = 1.0  # the (1, 0) end vertices
     boundaries = dates[window : window + n_pairs]
     if len(series_list) > 1:
         counts = [len(series) - 2 * window + 1 for series in series_list]
         # each seam between two series is crossed by 2*window - 1 pair starts
         kept = np.arange(sum(counts)) + np.repeat(np.arange(len(counts)) * (2 * window - 1), counts)
-        loops, boundaries = loops[:, kept], boundaries[kept]
-    return boundaries, loops
+        buffer, boundaries = np.take(buffer, kept, axis=-1), boundaries[kept]
+    return boundaries, buffer.transpose(2, 3, 0, 1)
 
 
 def read_series_csv(path, metric: str = "ctr") -> TimeSeries:

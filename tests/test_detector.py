@@ -388,6 +388,17 @@ def test_pooled_loops_equal_per_series_oracle(case):
         assert one_dates.tobytes() == d.tobytes() and one_loops.tobytes() == l.tobytes()
 
 
+@pytest.mark.parametrize("n_series", [1, 3])
+def test_loops_are_a_batch_last_view(n_series):
+    # the kernel reads loops pair-last; a copy there would come back unseen
+    window = 7
+    series = [walk_series("gapped", 2 * window + 10 + k, k) for k in range(n_series)]
+    _, loops = pair_paths(series[0], window) if n_series == 1 else _pool_paths(series, window)
+    paths = loops.reshape(-1, window + 2, 2)
+    assert np.shares_memory(loops, paths)
+    assert paths.transpose(1, 2, 0).flags.c_contiguous
+
+
 def greedy_merge(dates, values, threshold, merge_gap):
     """Flags over ``threshold``, merged one flag object at a time."""
     flags = [(d, v) for d, v in zip(dates, values) if v > threshold]

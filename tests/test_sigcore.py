@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,45 @@ class TestBatchSignature:
             paths[: batch // 2, :, 0] = -0.0
             rows = sc.batch_signature(paths, depth, log=log)
             assert rows.tobytes() == cumsum_rows(paths, depth, log).tobytes()
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_padded_batches_equal_the_cumsum_fold(self, depth, log):
+        # every remainder of the batch mod 16, the paths a block pads to
+        rng = np.random.default_rng(40 + depth)
+        for batch in range(1, 34):
+            paths = rng.normal(size=(batch, 5, 2))
+            # a flat first coordinate and a falling rest give levels of -0.0
+            paths[-1, :, 0] = 0.0
+            paths[-1, :, 1] = -np.arange(5, dtype=float)
+            rows = sc.batch_signature(paths, depth, log=log)
+            assert rows.tobytes() == cumsum_rows(paths, depth, log).tobytes(), batch
+
+    def test_buffer_size_is_scoped_to_the_fold(self, monkeypatch):
+        monkeypatch.setattr(sc, "BLOCK_BYTES", path_bytes(3, 2, 2) * 20)
+        paths = np.random.default_rng(9).random((30, 3, 2))
+        seen, fold = [], sc._signature_levels
+
+        def recording(paths, depth, width):
+            seen.append((len(paths), width, np.getbufsize()))
+            return fold(paths, depth, width)
+
+        monkeypatch.setattr(sc, "_signature_levels", recording)
+        before = np.getbufsize()
+        sc.batch_signature(paths, 2)
+        assert seen == [(20, 32, 32), (10, 16, 16)]
+        assert np.getbufsize() == before
+        paths[-1, 1, 0] = np.nan  # in the second block
+        with pytest.raises(InvalidInputError, match="finite"):
+            sc.batch_signature(paths, 2)
+        assert np.getbufsize() == before
+
+    def test_rejects_complex_paths(self):
+        paths = np.zeros((2, 3, 2), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^paths must be real$"):
+                sc.batch_signature(paths, 2)
 
     @pytest.mark.parametrize("log", [False, True])
     def test_long_history_batch_equals_the_cumsum_fold(self, log):
