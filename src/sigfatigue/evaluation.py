@@ -6,12 +6,14 @@ the earlier true date); each side is used at most once and a pair only
 counts within the policy tolerance.  Delay is detected minus true, so
 negative values are early warnings.
 
-Corpus scores are pooled counts (micro averages); confidence intervals
-come from a seeded percentile bootstrap over series.  Every interval is
-taken on one path: a (cells, series, 5) array of per-series counts, one
-(n_boot, series) index draw shared by every cell, each cell's
-resamples pooled by ``_rates`` and percentiles along the resample axis.
-``bootstrap_ci`` and ``evaluate_corpus`` are its one-cell case.  The signature
+Every score is taken from one table: a (cells, series, 4) int64 array
+of each series' ``COUNTS``, detections, truths, matches and the sum of
+the matched delays.  A cell's metrics are its column sums (micro
+averages) through ``_rates``; its confidence intervals come from a
+seeded percentile bootstrap over series, one (n_boot, series) index
+draw shared by every cell, each resample pooled by the same ``_rates``.
+``score`` is the one-series case, ``pool_scores``, ``bootstrap_ci`` and
+``evaluate_corpus`` the one-cell case.  The signature
 method and the reference baselines share one harness: ``METHODS`` names
 them, ``method_params`` gives the parameters each reads with their
 defaults, and ``make_method`` builds each one's corpus callable, list
@@ -33,7 +35,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +65,8 @@ CI_LEVEL = 0.95  # of every bootstrap interval
 # the parameter grid sensitivity_report sweeps by default
 DEFAULT_GRID = {"window": (7, 14, 21), "threshold_k": (1.5, 2.0, 2.5), "depth": (3,)}
 METHODS = ("signature", *baselines.__all__)
+# the per-series counts every metric is pooled from, in EvalMetrics field order
+COUNTS = ("n_detected", "n_true", "n_matched", "delay_sum")
 
 
 def _check_bootstrap(n_boot: int, seed: int) -> None:
@@ -89,7 +93,7 @@ class EvalMetrics:
     n_detected: int
     n_true: int
     n_matched: int
-    delays: tuple = field(default=(), metadata={"written": False})
+    delay_sum: int = field(metadata={"written": False})
     ci: dict | None = field(default=None, metadata={"written": "if set"})
 
     def to_dict(self) -> dict:
@@ -118,48 +122,56 @@ def match_detections(detected, truth, policy: MatchPolicy = MatchPolicy()) -> li
     return pairs
 
 
-def _rates(detected, true, matched, n_delays, delay_sum) -> tuple:
+def _rates(detected, true, matched, delay_sum) -> tuple:
     """Precision, recall, F1 and mean delay from pooled counts, either
     numbers or arrays (elementwise).
 
     A zero count is divided as 1.  What is divided by it is then 0 too,
-    because matches never outnumber detections or truths and delays come
-    only from matches: precision and F1 come out 0, recall 1 (the
+    because matches never outnumber detections or truths and each match
+    gives one delay: precision and F1 come out 0, recall 1 (the
     ``no_truth`` term) and the mean delay 0, which callers drop where
-    ``n_delays`` is 0.  Delays are whole days, so each sum is exact.
+    ``matched`` is 0.  Delays are whole days, so each sum is exact.
     """
     no_truth = true == 0
     precision = matched / (detected + (detected == 0))
     recall = matched / (true + no_truth) + no_truth
     both = precision + recall
     f1 = 2 * precision * recall / (both + (both == 0))
-    mean_delay = delay_sum / (n_delays + (n_delays == 0))
+    mean_delay = delay_sum / (matched + (matched == 0))
     return precision, recall, f1, mean_delay
 
 
-def _metrics_from_counts(n_detected, n_true, n_matched, delays) -> EvalMetrics:
-    precision, recall, f1, mean_delay = _rates(
-        n_detected, n_true, n_matched, len(delays), sum(delays)
-    )
-    return EvalMetrics(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        mean_delay_days=mean_delay if delays else None,
-        n_detected=n_detected,
-        n_true=n_true,
-        n_matched=n_matched,
-        delays=tuple(delays),
-    )
+def _count_row(detected, truth, policy: MatchPolicy) -> list:
+    """One series' ``COUNTS``, from its ``match_detections`` pairs."""
+    detected, truth = list(detected), list(truth)
+    pairs = match_detections(detected, truth, policy)
+    return [len(detected), len(truth), len(pairs), sum((d - t).days for d, t in pairs)]
+
+
+def _table(scores) -> np.ndarray:
+    """The (1, series, 4) count table of per-series scores."""
+    return np.array([[[getattr(s, name) for name in COUNTS] for s in scores]], dtype=np.int64)
+
+
+def _pooled(counts, n_boot: int = 0, seed: int = 0) -> list:
+    """One ``EvalMetrics`` per cell of a (cells, series, 4) table of
+    ``COUNTS``: the cell's column sums through ``_rates``, with bootstrap
+    intervals from one shared draw when ``n_boot`` is 1 or more and there
+    are 2 or more series."""
+    sums = counts.sum(axis=1)
+    rates = np.stack(_rates(*sums.T), axis=1).tolist()
+    boot = n_boot >= 1 and counts.shape[1] >= 2
+    cis = _bootstrap_cis(counts, n_boot, seed) if boot else [None] * len(counts)
+    # row[2] is n_matched: no match, no mean delay
+    return [
+        EvalMetrics(precision, recall, f1, mean_delay if row[2] else None, *row, ci=ci)
+        for (precision, recall, f1, mean_delay), row, ci in zip(rates, sums.tolist(), cis)
+    ]
 
 
 def score(detected, truth, policy: MatchPolicy = MatchPolicy()) -> EvalMetrics:
-    """Precision, recall, F1 and matched-pair delays for one series."""
-    detected = list(detected)
-    truth = list(truth)
-    pairs = match_detections(detected, truth, policy)
-    delays = [(d - t).days for d, t in pairs]
-    return _metrics_from_counts(len(detected), len(truth), len(pairs), delays)
+    """Precision, recall, F1 and mean matched-pair delay for one series."""
+    return _pooled(np.array([[_count_row(detected, truth, policy)]], dtype=np.int64))[0]
 
 
 def pool_scores(scores) -> EvalMetrics:
@@ -167,13 +179,7 @@ def pool_scores(scores) -> EvalMetrics:
     scores = list(scores)
     if not scores:
         raise InvalidInputError("cannot pool zero scores")
-    delays = [d for s in scores for d in s.delays]
-    return _metrics_from_counts(
-        sum(s.n_detected for s in scores),
-        sum(s.n_true for s in scores),
-        sum(s.n_matched for s in scores),
-        delays,
-    )
+    return _pooled(_table(scores))[0]
 
 
 def bootstrap_ci(scores, n_boot: int = N_BOOT, seed: int = 0) -> dict:
@@ -188,32 +194,20 @@ def bootstrap_ci(scores, n_boot: int = N_BOOT, seed: int = 0) -> dict:
     if len(scores) < 2:
         raise InvalidInputError("bootstrap needs at least 2 series")
     _check_bootstrap(n_boot, seed)
-    return _bootstrap_cis(_counts([scores]), n_boot, seed)[0]
-
-
-def _counts(score_lists) -> np.ndarray:
-    """The (cells, series, 5) counts of equally long lists of per-series
-    scores: detected, true, matched, delays and their sum."""
-    return np.array(
-        [
-            [[s.n_detected, s.n_true, s.n_matched, len(s.delays), sum(s.delays)] for s in scores]
-            for scores in score_lists
-        ],
-        dtype=np.int64,
-    )
+    return _bootstrap_cis(_table(scores), n_boot, seed)[0]
 
 
 def _bootstrap_cis(counts, n_boot: int, seed: int) -> list:
-    """``bootstrap_ci`` of each cell of a (cells, series, 5) ``_counts``
-    array, every cell resampled with the same series indices."""
+    """``bootstrap_ci`` of each cell of a (cells, series, 4) table of
+    ``COUNTS``, every cell resampled with the same series indices."""
     n_series = counts.shape[1]
     idx = np.random.default_rng(seed).integers(0, n_series, size=(n_boot, n_series))
     # how often each resample draws each series, so its pooled counts are one product
     draws = np.bincount(
         (idx + n_series * np.arange(n_boot)[:, None]).ravel(), minlength=n_boot * n_series
     ).reshape(n_boot, n_series)
-    detected, true, matched, n_delays, delay_sum = np.moveaxis(draws @ counts, -1, 0)
-    precision, recall, f1, mean_delay = _rates(detected, true, matched, n_delays, delay_sum)
+    detected, true, matched, delay_sum = np.moveaxis(draws @ counts, -1, 0)
+    precision, recall, f1, mean_delay = _rates(detected, true, matched, delay_sum)
     lo_q, hi_q = 100 * (1 - CI_LEVEL) / 2, 100 * (1 + CI_LEVEL) / 2
     rates = ("precision", "recall", "f1")
     if n_boot:  # (cell, rate, bound)
@@ -225,23 +219,12 @@ def _bootstrap_cis(counts, n_boot: int, seed: int) -> list:
         if n_boot:
             for name, (lo, hi) in zip(rates, bounds[cell]):
                 ci[name] = {"lo": lo, "hi": hi}
-        delays = mean_delay[cell][n_delays[cell] > 0]
+        delays = mean_delay[cell][matched[cell] > 0]
         if delays.size:
             lo, hi = np.percentile(delays, [lo_q, hi_q]).tolist()
             ci["mean_delay_days"] = {"lo": lo, "hi": hi}
         out.append(ci)
     return out
-
-
-def _pooled_cells(score_lists, n_boot: int, seed: int) -> list:
-    """``pool_scores`` of each of equally long lists of per-series scores,
-    with bootstrap intervals, from one shared draw, when ``n_boot`` is 1
-    or more and there are 2 or more series."""
-    pooled = [pool_scores(scores) for scores in score_lists]
-    if n_boot < 1 or len(score_lists[0]) < 2:
-        return pooled
-    cis = _bootstrap_cis(_counts(score_lists), n_boot, seed)
-    return [replace(metrics, ci=ci) for metrics, ci in zip(pooled, cis)]
 
 
 def method_params(name: str) -> dict:
@@ -311,14 +294,19 @@ def evaluate_corpus(
     """
     _check_bootstrap(n_boot, seed)
     corpus = list(corpus)
+    if not corpus:
+        raise InvalidInputError("corpus must be non-empty")
     run = make_method(method) if isinstance(method, str) else method
     detections = list(run([item.series for item in corpus]))
     if len(detections) != len(corpus):
         raise InvalidInputError(
             f"method returned {len(detections)} detection lists for {len(corpus)} series"
         )
-    per_series = [score(d, item.truth_dates(), policy) for d, item in zip(detections, corpus)]
-    return per_series, _pooled_cells([per_series], n_boot, seed)[0]
+    counts = np.array(
+        [[_count_row(d, item.truth_dates(), policy) for d, item in zip(detections, corpus)]],
+        dtype=np.int64,
+    )
+    return _pooled(counts.reshape(-1, 1, len(COUNTS))), _pooled(counts, n_boot, seed)[0]
 
 
 def sensitivity_report(
@@ -333,9 +321,10 @@ def sensitivity_report(
     ``grid`` maps parameters the signature method reads to non-empty
     lists of values, and defaults to ``DEFAULT_GRID``.  Rows follow the
     cells in lexicographic order of the sorted parameter names.  Each
-    row names its cell (the cell's window, threshold_k and depth, then
-    any other grid parameter in sorted order) and carries pooled metrics
-    plus bootstrap intervals.
+    row names its cell by the values its ``DetectorConfig`` applied
+    (window, threshold_k and depth, then any other grid parameter in
+    sorted order, so merge_gap None reads as the window) and carries
+    pooled metrics plus bootstrap intervals.
 
     ``distance_series`` reads only window, depth and feature_mode, so
     the cells that differ in nothing else share one distance series per
@@ -359,26 +348,29 @@ def sensitivity_report(
     if not corpus:
         raise InvalidInputError("corpus must be non-empty")
     names = sorted(grid)
-    cells = [dict(zip(names, values)) for values in itertools.product(*(grid[n] for n in names))]
-    configs = [_signature_config(cell) for cell in cells]
+    configs = [
+        _signature_config(dict(zip(names, values)))
+        for values in itertools.product(*(grid[n] for n in names))
+    ]
     groups = {}
     for i, cfg in enumerate(configs):
         groups.setdefault((cfg.window, cfg.depth, cfg.feature_mode), []).append(i)
     series = [item.series for item in corpus]
     truths = [item.truth_dates() for item in corpus]
-    cell_scores = [None] * len(cells)
+    counts = np.empty((len(configs), len(corpus), len(COUNTS)), dtype=np.int64)
     for indices in groups.values():
         distances = _pooled_distances(series, configs[indices[0]])
         moments = [_moments(d) for d in distances]
         for i in indices:
-            cell_scores[i] = [
-                score(_flag_dates(d, m, configs[i]), truth, policy)
+            counts[i] = [
+                _count_row(_flag_dates(d, m, configs[i]), truth, policy)
                 for d, m, truth in zip(distances, moments, truths)
             ]
         del distances, moments
-    rows = []
-    for cell, cfg, pooled in zip(cells, configs, _pooled_cells(cell_scores, n_boot, seed)):
-        row = {"window": cfg.window, "threshold_k": cfg.threshold_k, "depth": cfg.depth}
-        row.update((name, cell[name]) for name in names if name not in row)
-        rows.append({**row, **pooled.to_dict()})
-    return rows
+    return [
+        {
+            **{name: getattr(cfg, name) for name in ("window", "threshold_k", "depth", *names)},
+            **pooled.to_dict(),
+        }
+        for cfg, pooled in zip(configs, _pooled(counts, n_boot, seed))
+    ]

@@ -399,6 +399,24 @@ def test_loops_are_a_batch_last_view(n_series):
     assert paths.transpose(1, 2, 0).flags.c_contiguous
 
 
+@pytest.mark.parametrize("feature_mode", ["full", "log"])
+@pytest.mark.parametrize("kind", ["plain", "gapped", "flat"])
+@pytest.mark.parametrize("window", [2, 7, 10, 14])
+def test_depth_two_distance_is_the_area_between_the_windows(kind, window, feature_mode):
+    # level 1 of every closed loop is (1, 0) and level 2 (its log too) varies only in
+    # the signed area, the area under the scaled window over its time axis
+    series = walk_series(kind, 2 * window + 20, seed=window)
+    _, loops = pair_paths(series, window)
+    points = loops[:, :, 1:-1]  # (side, pair, vertex, coordinate)
+    areas = np.trapezoid(points[..., 1], points[..., 0], axis=-1)
+    cfg = DetectorConfig(window=window, depth=2, feature_mode=feature_mode)
+    distances = distance_series(series, cfg)["distance"]
+    expected = np.sqrt(2) * np.abs(areas[0] - areas[1])
+    np.testing.assert_allclose(distances, expected, rtol=0, atol=1e-14)
+    if kind == "flat" and window <= 10:  # the pairs inside the flat stretch are constant
+        assert np.all(distances[: 21 - 2 * window] < 1e-14)
+
+
 def greedy_merge(dates, values, threshold, merge_gap):
     """Flags over ``threshold``, merged one flag object at a time."""
     flags = [(d, v) for d, v in zip(dates, values) if v > threshold]

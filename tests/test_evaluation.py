@@ -1,6 +1,8 @@
 import datetime as dt
 import functools
 import itertools
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sigfatigue.detector import DetectorConfig, detect
 from sigfatigue.errors import InsufficientDataError, InvalidInputError
 from sigfatigue.evaluation import (
     METHODS,
+    EvalMetrics,
     MatchPolicy,
     bootstrap_ci,
     evaluate_corpus,
@@ -147,12 +150,62 @@ def test_score_shift_invariance_property(detected, truth, shift):
     st.integers(0, 5),
 )
 def test_score_equals_conditional_formula(detected, truth, tolerance):
-    s = score(days(*detected), days(*truth), MatchPolicy(tolerance))
+    policy = MatchPolicy(tolerance)
+    s = score(days(*detected), days(*truth), policy)
     precision = s.n_matched / s.n_detected if s.n_detected else 0.0
     recall = s.n_matched / s.n_true if s.n_true else 1.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    delay = float(np.mean(s.delays)) if s.delays else None
+    delays = [(d - t).days for d, t in match_detections(days(*detected), days(*truth), policy)]
+    delay = float(np.mean(delays)) if delays else None
     assert (s.precision, s.recall, s.f1, s.mean_delay_days) == (precision, recall, f1, delay)
+
+
+def pooled_by_formula(detected, truth, policy):
+    """The conditional formula on Python-summed counts of per-series
+    detections and truths, with delays from the ``match_detections`` pairs."""
+    n_detected, n_true = sum(map(len, detected)), sum(map(len, truth))
+    delays = [
+        (d - t).days for ds, ts in zip(detected, truth) for d, t in match_detections(ds, ts, policy)
+    ]
+    n_matched = len(delays)
+    precision = n_matched / n_detected if n_detected else 0.0
+    recall = n_matched / n_true if n_true else 1.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {
+        "precision": precision, "recall": recall, "f1": f1,
+        "mean_delay_days": sum(delays) / n_matched if delays else None,
+        "n_detected": n_detected, "n_true": n_true, "n_matched": n_matched,
+    }
+
+
+def assert_metrics(metrics, expected):
+    assert {name: getattr(metrics, name) for name in expected} == expected
+    for f in fields(EvalMetrics):  # Python numbers, never numpy scalars
+        assert type(getattr(metrics, f.name)) in (int, float, type(None))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 60), max_size=6), st.lists(st.integers(0, 60), max_size=3)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 5),
+)
+def test_pooled_metrics_equal_conditional_formula(series, tolerance):
+    policy = MatchPolicy(tolerance)
+    detected = [days(*d) for d, _ in series]
+    truth = [days(*t) for _, t in series]
+    pooled = pool_scores(score(d, t, policy) for d, t in zip(detected, truth))
+    assert_metrics(pooled, pooled_by_formula(detected, truth, policy))
+    corpus = [SimpleNamespace(series=i, truth_dates=lambda t=t: t) for i, t in enumerate(truth)]
+    per_series, evaluated = evaluate_corpus(
+        corpus, lambda indices: [detected[i] for i in indices], policy, n_boot=0
+    )
+    assert evaluated == pooled
+    for metrics, d, t in zip(per_series, detected, truth):
+        assert_metrics(metrics, pooled_by_formula([d], [t], policy))
 
 
 def loop_bootstrap_ci(scores, n_boot, level, seed):
@@ -281,7 +334,8 @@ class TestPoolAndBootstrap:
         four = [BOOTSTRAP_CASES["mixed"], *(_random_scores(seed, 4) for seed in range(10, 14))]
         for cells in (two + [_random_scores(3, 2)], four):
             for seed in (0, 7):
-                stacked = evaluation._bootstrap_cis(evaluation._counts(cells), n_boot, seed)
+                table = np.concatenate([evaluation._table(scores) for scores in cells])
+                stacked = evaluation._bootstrap_cis(table, n_boot, seed)
                 assert stacked == [loop_bootstrap_ci(c, n_boot, level, seed) for c in cells]
 
 
@@ -418,6 +472,15 @@ class TestPooledEvaluate:
         ):
             evaluate_corpus(corpus, lambda series_list: [[]] * (len(series_list) + extra))
 
+    @pytest.mark.parametrize("method", [*sorted(METHODS), "callable"])
+    def test_empty_corpus_rejected_before_the_method_runs(self, method):
+        calls = []
+        if method == "callable":
+            method = lambda series_list: calls.append(series_list) or []
+        with pytest.raises(InvalidInputError, match="^corpus must be non-empty$"):
+            evaluate_corpus([], method)
+        assert calls == []
+
     def test_corpus_is_read_once(self, corpus):
         _, pooled = evaluate_corpus(iter(corpus), "cusum", n_boot=10)
         assert pooled == evaluate_corpus(corpus, "cusum", n_boot=10)[1]
@@ -440,6 +503,13 @@ class TestGridSearch:
     def test_single_cell_returned(self, corpus):
         rows = sensitivity_report(corpus, {"window": [14], "threshold_k": [1.5]}, n_boot=0)
         assert [(r["window"], r["threshold_k"], r["depth"]) for r in rows] == [(14, 1.5, 3)]
+
+    def test_rows_name_the_parameters_applied(self, corpus):
+        # merge_gap None merges at the window, and the row says so
+        rows = sensitivity_report(corpus, {"merge_gap": [None, 3]}, n_boot=0)
+        assert [(r["window"], r["merge_gap"]) for r in rows] == [(14, 14), (14, 3)]
+        _, pooled = evaluate_corpus(corpus, make_method("signature", merge_gap=14), n_boot=0)
+        assert {k: v for k, v in rows[0].items() if k in pooled.to_dict()} == pooled.to_dict()
 
     def test_empty_grid_rejected(self, corpus):
         with pytest.raises(InvalidInputError, match="parameter grid"):

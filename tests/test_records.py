@@ -78,11 +78,13 @@ def test_detector_config_writes_effective_merge_gap():
 
 def test_eval_metrics_leave_out_delays_and_unset_ci():
     metrics = score(daily_dates(1), daily_dates(1))
-    assert metrics.delays == (0,)
-    assert list(metrics.to_dict()) == [n for n in names(EvalMetrics) if n not in ("delays", "ci")]
+    assert metrics.delay_sum == 0
+    assert list(metrics.to_dict()) == [
+        n for n in names(EvalMetrics) if n not in ("delay_sum", "ci")
+    ]
     ci = {"precision": {"lo": 0.5, "hi": 1.0}}
     out = replace(metrics, ci=ci).to_dict()
-    assert list(out) == [n for n in names(EvalMetrics) if n != "delays"]
+    assert list(out) == [n for n in names(EvalMetrics) if n != "delay_sum"]
     assert out["ci"] == ci
 
 

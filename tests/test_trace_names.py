@@ -123,5 +123,5 @@ def test_traced_sweep_computes_one_distance_series_per_window(tracing, corpus):
     # the series of each window share one pooled kernel call
     totals = traced_totals(tracing, lambda: evaluation.sensitivity_report(corpus, n_boot=0))
     assert totals["sigcore.batch_signature"]["calls"] == 3
-    # each of the 9 cells scores each of the 3 series once
-    assert totals["evaluation.score"]["calls"] == 27
+    # each of the 9 cells matches each of the 3 series once
+    assert totals["evaluation.match_detections"]["calls"] == 27
